@@ -9,7 +9,8 @@ np.linalg.pinv.
 
 import numpy as np
 
-from steklov import BoundaryGraph, Immersion, build_boundary_graph
+from steklov import (BoundaryGraph, Immersion, build_boundary_graph,
+                     build_rotation_graph)
 
 
 def dense_laplacian(n, edges):
@@ -55,6 +56,36 @@ def tangency_error(cp, edges):
         target = float(cp.radii[u] + cp.radii[v])
         worst = max(worst, abs(d - target) / target)
     return worst
+
+
+def stacked_triangulation(rng, n):
+    """Seeded stacked (Apollonian-style) triangulation of the sphere.
+
+    Starts from an oriented tetrahedron and inserts vertices 4..n-1 one at a
+    time into a uniformly random face, splitting it into three.  The
+    rotation comes straight from the oriented faces: a face (x, y, z) says
+    that at y the successor of x is z.  Every vertex is boundary.
+    """
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    for d in range(4, n):
+        i = int(rng.integers(0, len(faces)))
+        a, b, c = faces[i]
+        faces[i] = (a, b, d)
+        faces.extend([(b, c, d), (c, a, d)])
+    succ = [dict() for _ in range(n)]
+    for f in faces:
+        for x, y, z in ((f[0], f[1], f[2]), (f[1], f[2], f[0]), (f[2], f[0], f[1])):
+            succ[y][x] = z
+    rotation = []
+    for y in range(n):
+        start = min(succ[y])
+        ring = [start]
+        while succ[y][ring[-1]] != start:
+            ring.append(succ[y][ring[-1]])
+        rotation.append(ring)
+    edges = sorted({(min(x, y), max(x, y)) for y in range(n) for x in succ[y]})
+    g = build_boundary_graph(n, edges, range(n))
+    return build_rotation_graph(g, rotation)
 
 
 def random_connected_graph(rng, n_max=50, n_min=2):

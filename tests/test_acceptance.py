@@ -6,6 +6,7 @@ Each test prints exactly one summary line — ``[criterion N] PASS/FAIL ...``
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import steklov
 from steklov import (
     NormalizationFailure,
     SphereConfiguration,
@@ -283,9 +285,14 @@ def test_criterion_8_mobius_normalization():
 
 
 def _run_cli(args, cwd):
+    # the child runs in another directory, so hand it the absolute location
+    # of the package under test rather than an inherited relative path
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys; from steklov.cli import cli; sys.exit(cli(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, cwd=cwd, check=False)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, cwd=cwd, env=env, check=False)
 
 
 def test_criterion_9_byte_determinism(tmp_path):

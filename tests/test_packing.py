@@ -29,7 +29,7 @@ from steklov import (
 )
 from steklov.packing import _ball_map
 
-from helpers import tangency_error
+from helpers import stacked_triangulation, tangency_error
 
 
 def flower_radius(k):
@@ -44,14 +44,14 @@ def flower_radius(k):
     return 0.5 * (lo + hi)
 
 
-def wheel6():
-    """Hub plus hexagonal rim; the rim bounds the single non-triangular face."""
-    edges = [(0, i) for i in range(1, 7)]
-    edges += [(i, i % 6 + 1) for i in range(1, 7)]
-    g = build_boundary_graph(7, edges, range(1, 7))
-    rot = [[1, 2, 3, 4, 5, 6]]
-    for i in range(1, 7):
-        rot.append([i % 6 + 1, 0, (i - 2) % 6 + 1])
+def wheel(k):
+    """Hub plus a rim of k vertices; the rim bounds the single non-triangular face."""
+    edges = [(0, i) for i in range(1, k + 1)]
+    edges += [(i, i % k + 1) for i in range(1, k + 1)]
+    g = build_boundary_graph(k + 1, edges, range(1, k + 1))
+    rot = [list(range(1, k + 1))]
+    for i in range(1, k + 1):
+        rot.append([i % k + 1, 0, (i - 2) % k + 1])
     return build_rotation_graph(g, rot)
 
 
@@ -75,19 +75,23 @@ def test_tetrahedron_interior_radius():
     assert tangency_error(cp, tetrahedron().edges) <= 1e-9
 
 
-def test_wheel_packs_to_unit_lattice():
-    rg = wheel6()
+@pytest.mark.parametrize("k", [4, 6, 9, 12])
+def test_wheel_hub_matches_flower_radius(k):
+    rg = wheel(k)
     faces = trace_faces(rg)
-    assert sorted(len(f) for f in faces) == [3] * 6 + [6]
-    assert flower_radius(6) == pytest.approx(1.0, abs=1e-12)
+    assert sorted(len(f) for f in faces) == [3] * k + [k]
+    rho = flower_radius(k)
+    if k == 6:
+        assert rho == pytest.approx(1.0, abs=1e-12)
 
     cp = circle_pack(rg)
-    assert cp.radii == pytest.approx(np.ones(7), abs=1e-9)
+    assert cp.radii[0] == pytest.approx(rho, abs=1e-9)
+    assert cp.radii[1:] == pytest.approx(np.ones(k), abs=0)
     assert cp.residual <= 1e-8
     assert tangency_error(cp, rg.edges) <= 1e-9
-    # hub sits one diameter away from every rim centre
+    # hub sits one hub-plus-rim radius away from every rim centre
     d = np.linalg.norm(cp.centers[1:] - cp.centers[0], axis=1)
-    assert d == pytest.approx(np.full(6, 2.0), abs=1e-8)
+    assert d == pytest.approx(np.full(k, 1.0 + rho), abs=1e-8)
 
 
 def test_empty_interior_disk_is_exact():
@@ -98,9 +102,20 @@ def test_empty_interior_disk_is_exact():
     assert tangency_error(cp, rg.edges) <= 1e-12
 
 
-@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
 def test_sphere_meshes_pack(level):
     rg = gen_sphere(level)
+    cp = circle_pack(rg)
+    assert cp.residual <= 1e-8
+    assert tangency_error(cp, rg.edges) <= 1e-7
+    assert np.all(cp.radii > 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_triangulations_pack(seed):
+    # irregular degrees and radii down to ~1e-9: the packing must still
+    # meet the release gate's tangency bound
+    rg = stacked_triangulation(np.random.Generator(np.random.Philox(seed)), 1000)
     cp = circle_pack(rg)
     assert cp.residual <= 1e-8
     assert tangency_error(cp, rg.edges) <= 1e-7
