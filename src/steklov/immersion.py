@@ -13,7 +13,7 @@ by two adjacent subdivided triangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -326,7 +326,8 @@ def random_immersion(refined: RefinedGraph, seed: int) -> Immersion:
     per sorted source edge one connector draw followed by the two
     initial-path constructions (smaller endpoint first).  The two halves
     are joined at the connector and loop-erased, so every stored path is
-    edge-simple.  xi and ell are measured from the final paths.
+    edge-simple.  xi and ell are measured from the final paths by
+    :func:`verify_immersion`.
     """
     if refined.level < 1:
         raise ValidationError("random immersion requires refinement level >= 1")
@@ -378,25 +379,19 @@ def random_immersion(refined: RefinedGraph, seed: int) -> Immersion:
     )
     path_map = {e: tuple(index[w] for w in p) for e, p in raw_paths.items()}
 
-    usage: dict[tuple[int, int], int] = {}
-    ell = 0
-    for p in path_map.values():
-        ell = max(ell, len(p) - 1)
-        for a, b in zip(p, p[1:]):
-            e = (a, b) if a < b else (b, a)
-            usage[e] = usage.get(e, 0) + 1
+    # xi and ell start unset: verify_immersion measures them from the paths.
     imm = Immersion(
         source=src.base,
         host=host,
         vertex_map=vertex_map,
         path_map=path_map,
-        xi=max(usage.values(), default=0),
-        ell=ell,
+        xi=0,
+        ell=0,
         seed=int(seed),
         host_vertex_ids=tuple(used),
     )
-    verify_immersion(imm)
-    return imm
+    xi, ell = verify_immersion(imm)
+    return replace(imm, xi=xi, ell=ell)
 
 
 def chain_bound(rg: RotationGraph, boundary, k: int, seeds=(0, 1, 2, 3)) -> dict:

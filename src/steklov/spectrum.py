@@ -9,16 +9,18 @@ The DtN matrix is the Schur complement  S = L_BB - L_BI L_II^{-1} L_IB.
 Its eigenvalues 0 = l_1 <= l_2 <= ... <= l_{|B|} are the Steklov
 eigenvalues of the pair (G, B); eigenvectors extend harmonically into the
 interior.  When B is all of V there is no interior block and S = L.
+
+The blocks are cut from the CSR Laplacian of :func:`graphs.laplacian`; one
+sparse LU factorization of L_II (SuperLU via ``scipy.sparse.linalg.splu``)
+solves for every boundary column, and S is then eigensolved densely.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import (
@@ -30,9 +32,6 @@ from .errors import (
 )
 from .graphs import BoundaryGraph, RotationGraph, laplacian
 
-# Interior solves: dense Cholesky up to this size, Jacobi-preconditioned CG above.
-_DENSE_INTERIOR = 4096
-_CG_TOL = 1e-12
 # Relative residual allowed for the symmetric eigensolve.
 _EIG_TOL = 1e-9
 # |l_1| below this multiple of the top eigenvalue is clamped to exactly 0.
@@ -67,21 +66,15 @@ def _base(g) -> BoundaryGraph:
     return g.base if isinstance(g, RotationGraph) else g
 
 
-def _check_interior_reaches_boundary(g: BoundaryGraph):
+def _check_interior_reaches_boundary(g: BoundaryGraph, L) -> None:
     """Every component must contain a boundary vertex, else L_II is singular."""
-    seen = np.zeros(g.n, dtype=bool)
-    q = deque(g.boundary)
-    seen[list(g.boundary)] = True
-    while q:
-        x = q.popleft()
-        for y in g.neighbors[x]:
-            if not seen[y]:
-                seen[y] = True
-                q.append(y)
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
+    ncomp, label = scipy.sparse.csgraph.connected_components(L, directed=False)
+    has_boundary = np.zeros(ncomp, dtype=bool)
+    has_boundary[label[list(g.boundary)]] = True
+    stranded = np.flatnonzero(~has_boundary[label])
+    if stranded.size:
         raise SingularInterior(
-            f"vertex {missing} lies in a component with no boundary vertex"
+            f"vertex {stranded[0]} lies in a component with no boundary vertex"
         )
 
 
@@ -89,53 +82,19 @@ def _schur_with_extension(g: BoundaryGraph):
     """Return (S, ext) where S is the DtN matrix and ext maps boundary values
     to the interior values of their harmonic extension (ext = -L_II^{-1} L_IB).
     """
-    _check_interior_reaches_boundary(g)
-    b = list(g.boundary)
-    i = list(g.interior)
-    if not i:
-        L = laplacian(g)
-        S = L.toarray() if scipy.sparse.issparse(L) else L.copy()
-        return S, np.zeros((0, len(b)))
-
     L = laplacian(g)
-    if scipy.sparse.issparse(L):
-        L = L.tocsr()
-        L_bb = L[b][:, b].toarray()
-        L_ib = L[i][:, b].toarray()
-        L_ii = L[i][:, i].tocsc()
-        X = np.empty_like(L_ib)
-        diag = L_ii.diagonal()
-        M = scipy.sparse.diags(1.0 / diag)
-        for col in range(L_ib.shape[1]):
-            x, info = _cg(L_ii, L_ib[:, col], M=M)
-            if info != 0:
-                raise ConvergenceFailure(
-                    f"interior CG solve failed for boundary column {col} (info={info})"
-                )
-            X[:, col] = x
-    else:
-        L_bb = L[np.ix_(b, b)]
-        L_ib = L[np.ix_(i, b)]
-        L_ii = L[np.ix_(i, i)]
-        if len(i) <= _DENSE_INTERIOR:
-            try:
-                cf = scipy.linalg.cho_factor(L_ii, check_finite=False)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-                raise SingularInterior(str(exc)) from exc
-            X = scipy.linalg.cho_solve(cf, L_ib, check_finite=False)
-        else:  # pragma: no cover - dense graphs this large are not produced
-            X = np.linalg.solve(L_ii, L_ib)
+    _check_interior_reaches_boundary(g, L)
+    nb = len(g.boundary)
+    order = list(g.boundary) + list(g.interior)
+    P = L[order][:, order]  # boundary first: the blocks are contiguous slices
+    L_bb = P[:nb, :nb].toarray()
+    if nb == g.n:
+        return L_bb, np.zeros((0, nb))
+    L_ib = P[nb:, :nb].toarray()
+    X = scipy.sparse.linalg.splu(P[nb:, nb:].tocsc()).solve(L_ib)
     S = L_bb - L_ib.T @ X
     S = 0.5 * (S + S.T)
     return S, -X
-
-
-def _cg(A, rhs, M=None):
-    """scipy CG across the rtol/tol API change."""
-    try:
-        return scipy.sparse.linalg.cg(A, rhs, rtol=_CG_TOL, atol=0.0, M=M)
-    except TypeError:  # older scipy
-        return scipy.sparse.linalg.cg(A, rhs, tol=_CG_TOL, atol=0.0, M=M)
 
 
 def dtn_matrix(g) -> DtNMatrix:

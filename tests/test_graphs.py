@@ -58,27 +58,39 @@ def test_validation_errors():
 
 def test_with_boundary_replaces_only_boundary():
     g = k4()
-    g2 = with_boundary(g, [2])
+    g2 = with_boundary(g, [2, 3, 2])
     assert g2.edges == g.edges
-    assert g2.boundary == (2,)
-    assert g2.interior == (0, 1, 3)
+    assert g2.boundary == (2, 3)
+    assert g2.interior == (0, 1)
+    with pytest.raises(EmptyBoundary):
+        with_boundary(g, [])
+    with pytest.raises(IndexOutOfRange):
+        with_boundary(g, [0, 4])  # vertex n
+    with pytest.raises(IndexOutOfRange):
+        with_boundary(g, [1.0])
+    rg = k4_rotation()
+    rg2 = with_boundary(rg, [1])
+    assert rg2.rotation == rg.rotation
+    assert rg2.boundary == (1,)
+    assert rg2.edges == rg.edges
 
 
 def test_laplacian_matches_hand_built():
     g = build_boundary_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)], [0])
     L = laplacian(g)
-    assert not scipy.sparse.issparse(L)  # small graphs stay dense
-    np.testing.assert_allclose(L, dense_laplacian(5, g.edges))
+    assert scipy.sparse.issparse(L) and L.format == "csr"
+    np.testing.assert_array_equal(L.toarray(), dense_laplacian(5, g.edges))
 
 
-def test_laplacian_sparse_above_threshold():
+def test_laplacian_large_path():
     n = 5000
     edges = [(i, i + 1) for i in range(n - 1)]
     g = build_boundary_graph(n, edges, [0, n - 1])
     L = laplacian(g)
-    assert scipy.sparse.issparse(L)
+    assert scipy.sparse.issparse(L) and L.format == "csr"
     assert L.shape == (n, n)
     assert L.sum() == 0
+    assert np.all(L.sum(axis=1) == 0)
 
 
 def test_rotation_must_permute_neighbours():

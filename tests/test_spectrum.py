@@ -7,6 +7,8 @@ np.linalg.solve + eigvalsh) and then frozen.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import (
     CentroidNotZero,
@@ -22,7 +24,8 @@ from steklov import (
     vector_rayleigh_bound,
 )
 
-from helpers import random_boundary, random_connected_graph, spectrum_oracle
+from helpers import (dtn_oracle, random_boundary, random_connected_graph,
+                     spectrum_oracle)
 
 
 def p3():
@@ -47,7 +50,7 @@ def test_star_dtn_is_identity_minus_third():
 
 def test_full_boundary_dtn_is_laplacian():
     g = c4()
-    np.testing.assert_allclose(dtn_matrix(g).matrix, laplacian(g), atol=0)
+    np.testing.assert_allclose(dtn_matrix(g).matrix, laplacian(g).toarray(), atol=0)
 
 
 @pytest.mark.parametrize("n,edges,boundary,expected", [
@@ -173,17 +176,64 @@ def test_lambda_k_bounds_checked():
 
 def test_interior_must_reach_boundary():
     g = build_boundary_graph(3, [(0, 1)], [0])  # vertex 2 floats free
-    with pytest.raises(SingularInterior):
+    with pytest.raises(SingularInterior, match="vertex 2 "):
         steklov_spectrum(g)
-
-
-def test_long_path_uses_sparse_solver():
-    # interior size 4998 forces the iterative Schur path; the DtN matrix of
-    # a path with endpoint boundary is the series-resistor reduction
-    n = 5000
-    g = build_boundary_graph(n, [(i, i + 1) for i in range(n - 1)], [0, n - 1])
-    m = dtn_matrix(g).matrix
-    c = 1.0 / (n - 1)
-    np.testing.assert_allclose(m, [[c, -c], [-c, c]], atol=1e-10)
+    # the stranded component {1, 2, 4} is named by its lowest vertex
+    g = build_boundary_graph(6, [(1, 2), (2, 4), (0, 3), (3, 5)], [5])
+    with pytest.raises(SingularInterior, match="vertex 1 "):
+        dtn_matrix(g)
+    # every component holding a boundary vertex is fine: a second zero
+    g = build_boundary_graph(5, [(0, 1), (1, 2), (3, 4)], [0, 2, 3])
     w = steklov_spectrum(g).eigenvalues
-    np.testing.assert_allclose(w, [0.0, 2.0 / (n - 1)], atol=1e-10)
+    assert abs(w[1]) < 1e-9
+    np.testing.assert_allclose(w, [0.0, 0.0, 1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("n,stops,closed", [
+    (5000, (0, 4999), False),
+    (6000, (0, 1, 5, 100, 1234, 3000, 4999), True),
+], ids=["path", "cycle"])
+def test_long_series_resistor_dtn(n, stops, closed):
+    # boundary vertices cut a long path or cycle into chains of unit
+    # resistors in series; the chain between consecutive stops at distance
+    # m has conductance 1/m, so the DtN matrix is the Laplacian of the
+    # path or cycle on the stops weighted by those conductances
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if closed else [])
+    k = len(stops)
+    want = np.zeros((k, k))
+    for a in range(k if closed else k - 1):
+        b = (a + 1) % k
+        c = 1.0 / ((stops[b] - stops[a]) % n)
+        want[[a, b], [a, b]] += c
+        want[[a, b], [b, a]] -= c
+    g = build_boundary_graph(n, edges, stops)
+    np.testing.assert_allclose(dtn_matrix(g).matrix, want, atol=1e-10)
+    w = steklov_spectrum(g).eigenvalues
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(want), atol=1e-10)
+
+
+@st.composite
+def _graphs_with_boundary(draw):
+    """Connected graph on n <= 30 vertices (random tree plus extra edges)
+    with a random non-empty boundary."""
+    n = draw(st.integers(1, 30))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in draw(st.lists(pairs, max_size=2 * n)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    boundary = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return n, sorted(edges), sorted(boundary)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs_with_boundary())
+def test_dtn_matrix_properties(case):
+    n, edges, boundary = case
+    S = dtn_matrix(build_boundary_graph(n, edges, boundary)).matrix
+    scale = max(1.0, float(np.abs(S).max()))
+    np.testing.assert_array_equal(S, S.T)
+    assert np.linalg.eigvalsh(S).min() >= -1e-9 * scale
+    np.testing.assert_allclose(S.sum(axis=1), 0.0, atol=1e-9 * scale)
+    np.testing.assert_allclose(S, dtn_oracle(n, edges, boundary), atol=1e-9)
