@@ -117,8 +117,8 @@ class RotationGraph:
         return self.base.boundary
 
 
-def _check_vertex(x, n: int, what: str):
-    if not isinstance(x, (int, np.integer)):
+def _check_vertex(x, n: int, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise IndexOutOfRange(f"{what}: expected an integer vertex id, got {x!r}")
     if not 0 <= x < n:
         raise IndexOutOfRange(f"{what}: vertex {x} outside [0, {n})")

@@ -6,9 +6,10 @@ Newton on the log-radii of the other vertices makes the angle sum at every
 interior vertex 2*pi (a convex problem, by Colin de Verdière's variational
 principle), and centers are then laid out face by face.  The centers lift
 to the unit sphere by inverse stereographic projection, a Möbius
-transformation recenters the boundary points, and the resulting unit
-vectors feed the vector-valued Rayleigh quotient, giving a certified upper
-bound for the second Steklov eigenvalue.
+transformation found by damped Newton on the ball point it sends to the
+origin recenters the boundary points, and the resulting unit vectors feed
+the vector-valued Rayleigh quotient, giving a certified upper bound for the
+second Steklov eigenvalue.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -261,84 +261,63 @@ def _ball_map(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ((1.0 - wn2) * diff - d2[:, None] * w) / denom[:, None]
 
 
-def _y_to_w(y: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(y))
-    if nrm == 0.0:
-        return np.zeros(3)
-    return y / nrm * np.tanh(nrm)
-
-
 def mobius_normalize(sc: SphereConfiguration, subset=None) -> SphereConfiguration:
     """Recenter: find a sphere Möbius map making the subset centroid ~0.
 
-    The map is parameterized by a point w in the open unit ball (via an
-    unconstrained tanh chart), seeded on a coarse grid of directions and
-    radii and polished with a root solver.  Returns the input unchanged
-    when it is already centered.  Raises NormalizationFailure when no map
-    reaches centroid norm 1e-7 — which is the expected outcome when one
-    point carries at least half of the subset.
+    Damped Newton on the ball point w that the map sends to the origin.
+    Each step recenters the current points, so the centroid's Jacobian is
+    always taken at w = 0, where it is -2 (I - M) with M the subset mean of
+    x x^T; the Newton step enters the open ball through w -> tanh|w| w/|w|
+    and is halved until the centroid norm drops.  Points are renormalized
+    to the sphere after every step, so the centroid checked is that of the
+    returned points.  Returns the input unchanged when it is already
+    centered.  Raises NormalizationFailure when the centroid norm stalls
+    above 1e-7 — which is the expected outcome when one point carries at
+    least half of the subset.
     """
     sub_idx = list(sc.boundary if subset is None else subset)
     if not sub_idx:
         raise EmptyBoundary("cannot normalize over an empty subset")
-    pts = np.asarray(sc.points, dtype=float)
-    sub = pts[sub_idx]
-    if float(np.linalg.norm(sub.mean(axis=0))) <= _CENTROID_TOL:
+    out = np.asarray(sc.points, dtype=float)
+    sub = out[sub_idx]
+    c = sub.mean(axis=0)
+    err = float(np.linalg.norm(c))
+    if err <= _CENTROID_TOL:
         return sc
     if float(np.max(np.linalg.norm(sub - sub[0], axis=1))) < 1e-12:
         raise NormalizationFailure(
             "all subset points coincide; no Möbius map can center them"
         )
 
-    def centroid_of(w: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return _ball_map(w, sub).mean(axis=0)
-
-    def objective(y: np.ndarray) -> np.ndarray:
-        return centroid_of(_y_to_w(y))
-
-    c_dir = sub.mean(axis=0)
-    c_dir /= np.linalg.norm(c_dir)
-    dirs = [c_dir, -c_dir]
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        dirs.extend([e, -e])
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            for sz in (-1.0, 1.0):
-                dirs.append(np.array([sx, sy, sz]) / np.sqrt(3.0))
-
-    seeds = []
-    for d in dirs:
-        for rad in (0.35, 0.7, 0.9, 0.975):
-            w = rad * d
-            score = float(np.linalg.norm(centroid_of(w)))
-            if np.isfinite(score):
-                seeds.append((score, w))
-    seeds.sort(key=lambda t: t[0])
-
-    best_norm, best_w = np.inf, None
-    for _, w0 in seeds[:6]:
-        y0 = w0 / np.linalg.norm(w0) * np.arctanh(min(np.linalg.norm(w0), 0.999999))
-        with np.errstate(all="ignore"):
-            sol = scipy.optimize.root(objective, y0, method="hybr", tol=1e-14)
-        w = _y_to_w(np.asarray(sol.x, dtype=float))
-        res = float(np.linalg.norm(centroid_of(w)))
-        if np.isfinite(res) and res < best_norm:
-            best_norm, best_w = res, w
-        if best_norm <= 1e-9:
-            break
-
-    if best_w is None or best_norm > _CENTROID_TOL:
-        raise NormalizationFailure(
-            f"Möbius search stalled with centroid norm {best_norm:.3e}"
-        )
+    steps = 0
     with np.errstate(all="ignore"):
-        out = _ball_map(best_w, pts)
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    if float(np.linalg.norm(out[sub_idx].mean(axis=0))) > _CENTROID_TOL:
-        raise NormalizationFailure("renormalized points lost the centered property")
+        while steps < _MAX_STEPS:
+            try:
+                y = np.linalg.solve(np.eye(3) - sub.T @ sub / len(sub), 0.5 * c)
+            except np.linalg.LinAlgError:
+                break  # every point on one line: the step is undefined
+            ynorm = float(np.linalg.norm(y))
+            t = 1.0
+            while t >= _MIN_DAMPING:
+                w = y * (np.tanh(t * ynorm) / ynorm)
+                if float(np.linalg.norm(_ball_map(w, sub).mean(axis=0))) < err:
+                    break
+                # Once centered to the tolerance only full steps are tried, so
+                # the first one that does not decrease marks the roundoff floor.
+                t = 0.5 * t if err > _CENTROID_TOL else 0.0
+            else:
+                break
+            out = _ball_map(w, out)
+            out /= np.linalg.norm(out, axis=1)[:, None]
+            sub = out[sub_idx]
+            c = sub.mean(axis=0)
+            err = float(np.linalg.norm(c))
+            steps += 1
+
+    if err > _CENTROID_TOL:
+        raise NormalizationFailure(
+            f"Möbius Newton stalled with centroid norm {err:.3e} after {steps} steps"
+        )
     return SphereConfiguration(points=out, boundary=sc.boundary)
 
 

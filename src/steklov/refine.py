@@ -22,7 +22,6 @@ from .graphs import (
     RotationGraph,
     build_boundary_graph,
     build_rotation_graph,
-    is_fully_triangulated,
     trace_faces,
     with_boundary,
 )
@@ -125,7 +124,8 @@ def _clip_at(walk, i, rot, edge_set, all_edges):
 
 def _hex_subdivide_mapped(rg: RotationGraph):
     """One subdivision step; also returns the edge -> midpoint-id map."""
-    if not is_fully_triangulated(rg):
+    faces = trace_faces(rg)
+    if any(len(f) != 3 for f in faces):
         raise NotTriangulated("hexagon subdivision requires every face to be a triangle")
     n = rg.n
     edges = rg.base.edges
@@ -139,7 +139,7 @@ def _hex_subdivide_mapped(rg: RotationGraph):
         w = mid[(u, v)]
         new_edges.append((u, w))
         new_edges.append((v, w))
-    for x, y, z in trace_faces(rg):
+    for x, y, z in faces:
         new_edges.append((m_of(x, y), m_of(y, z)))
         new_edges.append((m_of(y, z), m_of(z, x)))
         new_edges.append((m_of(z, x), m_of(x, y)))
@@ -242,10 +242,10 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
         boundary = rg.boundary
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
         raise ValidationError(f"refinement level must be a non-negative integer, got {k!r}")
-    if not is_fully_triangulated(rg):
+    faces = trace_faces(rg)  # with_boundary keeps the rotation, hence the faces
+    if any(len(f) != 3 for f in faces):
         raise NotTriangulated("refinement requires a fully triangulated input")
     src = with_boundary(rg, boundary)
-    faces = trace_faces(src)
     lattices: list[dict] = [{(0, 0): f[0], (1, 0): f[1], (0, 1): f[2]} for f in faces]
 
     cur = src

@@ -15,14 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    Disconnected,
-    IndexOutOfRange,
-    SameVertex,
-    TooSmall,
-)
-from .graphs import RotationGraph, genus, is_connected, laplacian, with_boundary
+from .errors import ConvergenceFailure, Disconnected, SameVertex, TooSmall
+from .graphs import RotationGraph, _check_vertex, genus, is_connected, laplacian, with_boundary
 from .spectrum import lambda_k
 
 _PCG_TOL = 1e-12
@@ -42,15 +36,6 @@ class ResistanceResult:
     r_steklov: float
     r_pinv: float
     discrepancy: float
-
-
-def _vertex(x, n: int, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise IndexOutOfRange(f"{what} must be an integer vertex index, got {x!r}")
-    x = int(x)
-    if not 0 <= x < n:
-        raise IndexOutOfRange(f"{what} {x} out of range for {n} vertices")
-    return x
 
 
 def _pinv_quadform(g, u: int, v: int) -> float:
@@ -103,8 +88,8 @@ def effective_resistance(g, u, v) -> ResistanceResult:
     raises ConvergenceFailure.
     """
     base = g.base if isinstance(g, RotationGraph) else g
-    u = _vertex(u, base.n, "u")
-    v = _vertex(v, base.n, "v")
+    u = _check_vertex(u, base.n, "u")
+    v = _check_vertex(v, base.n, "v")
     if u == v:
         raise SameVertex(f"resistance needs two distinct vertices, got {u} twice")
     if not is_connected(base):

@@ -12,7 +12,8 @@ interior.  When B is all of V there is no interior block and S = L.
 
 The blocks are cut from the CSR Laplacian of :func:`graphs.laplacian`; one
 sparse LU factorization of L_II (SuperLU via ``scipy.sparse.linalg.splu``)
-solves for every boundary column, and S is then eigensolved densely.
+solves for every boundary column, L_BI multiplies the solution as a sparse
+matrix, and S is then eigensolved densely.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def _schur_with_extension(g: BoundaryGraph):
     L_bb = P[:nb, :nb].toarray()
     if nb == g.n:
         return L_bb, np.zeros((0, nb))
-    L_ib = P[nb:, :nb].toarray()
-    X = scipy.sparse.linalg.splu(P[nb:, nb:].tocsc()).solve(L_ib)
+    L_ib = P[nb:, :nb]
+    X = scipy.sparse.linalg.splu(P[nb:, nb:].tocsc()).solve(L_ib.toarray())
     S = L_bb - L_ib.T @ X
     S = 0.5 * (S + S.T)
     return S, -X
@@ -108,10 +109,8 @@ def dtn_matrix(g) -> DtNMatrix:
     return DtNMatrix(matrix=S, boundary=base.boundary)
 
 
-def steklov_spectrum(g) -> SteklovSpectrum:
-    """Full Steklov spectrum with harmonically extended eigenfunctions."""
-    base = _base(g)
-    S, ext = _schur_with_extension(base)
+def _checked_eigh(S: np.ndarray):
+    """Eigenpairs of the DtN matrix, residual-checked, l_1 clamped to 0."""
     try:
         w, Q = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
@@ -125,7 +124,14 @@ def steklov_spectrum(g) -> SteklovSpectrum:
     if abs(w[0]) < _KERNEL_CLAMP * scale:
         w = w.copy()
         w[0] = 0.0
+    return w, Q
 
+
+def steklov_spectrum(g) -> SteklovSpectrum:
+    """Full Steklov spectrum with harmonically extended eigenfunctions."""
+    base = _base(g)
+    S, ext = _schur_with_extension(base)
+    w, Q = _checked_eigh(S)
     F = np.empty((base.n, len(base.boundary)))
     F[list(base.boundary), :] = Q
     if base.interior:
@@ -140,7 +146,8 @@ def lambda_k(g, k: int) -> float:
         raise IndexOutOfRange(
             f"k={k} outside 1..{len(base.boundary)} (= boundary size)"
         )
-    return float(steklov_spectrum(base).eigenvalues[k - 1])
+    S, _ = _schur_with_extension(base)
+    return float(_checked_eigh(S)[0][k - 1])
 
 
 def rayleigh_quotient(g, f) -> float:

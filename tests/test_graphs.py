@@ -54,6 +54,11 @@ def test_validation_errors():
         build_boundary_graph(3, [(0, 1)], [])
     with pytest.raises(IndexOutOfRange):
         build_boundary_graph(0, [], [0])
+    # bool is an int subclass; True/False must not pass as vertices 1/0
+    with pytest.raises(IndexOutOfRange):
+        build_boundary_graph(3, [(True, 2)], [0])
+    with pytest.raises(IndexOutOfRange):
+        build_boundary_graph(3, [(1, 2)], [False])
 
 
 def test_with_boundary_replaces_only_boundary():
@@ -68,6 +73,8 @@ def test_with_boundary_replaces_only_boundary():
         with_boundary(g, [0, 4])  # vertex n
     with pytest.raises(IndexOutOfRange):
         with_boundary(g, [1.0])
+    with pytest.raises(IndexOutOfRange):
+        with_boundary(g, [True])
     rg = k4_rotation()
     rg2 = with_boundary(rg, [1])
     assert rg2.rotation == rg.rotation

@@ -1,10 +1,15 @@
 """Circle packings, sphere lifts, Mobius centering, and the planar certificate."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steklov
 from steklov import (
     ConvergenceFailure,
     EmptyBoundary,
@@ -169,6 +174,34 @@ def test_mobius_centers_random_configurations():
         assert np.linalg.norm(out.boundary_centroid) <= 1e-7
         assert np.linalg.norm(out.points, axis=1) == pytest.approx(
             np.ones(30), abs=1e-10)
+
+
+def test_mobius_centring_is_unique_up_to_rotation():
+    # The centred image is unique up to an isometry of the sphere (the
+    # conformal barycentre), so moving the input by a Mobius map first must
+    # not change the Gram matrix of the output.
+    rng = np.random.Generator(np.random.Philox(23))
+    for _ in range(10):
+        pts = rng.normal(size=(30, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        a = rng.normal(size=3)
+        a *= rng.uniform(0.0, 0.9) / np.linalg.norm(a)
+        grams = []
+        for x in (pts, _ball_map(a, pts)):
+            out = mobius_normalize(SphereConfiguration(points=x, boundary=tuple(range(30))))
+            grams.append(out.points @ out.points.T)
+        assert grams[1] == pytest.approx(grams[0], abs=1e-8)
+
+
+def test_import_leaves_scipy_optimize_out(tmp_path):
+    # a fresh process pays for every module the package imports
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, steklov; print('scipy.optimize' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env=env, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_mobius_short_circuits_when_centred():
