@@ -23,6 +23,7 @@ import sys
 from .errors import ConvergenceError, SteklovError, ValidationError
 from .graphs import RotationGraph, genus
 from .harness import (
+    _enforce_cap,
     document_to_graph,
     gen_genus,
     gen_sphere,
@@ -72,13 +73,11 @@ def _need_rotation(g, what: str) -> RotationGraph:
 
 def _check_refined_size(rg: RotationGraph, k: int) -> None:
     # V grows by E per step and E quadruples on closed triangulations,
-    # so the final size is known before doing any work.
-    final_n = rg.n + len(rg.edges) * (4**k - 1) // 3
-    cap = max_instance_size()
-    if final_n > cap:
-        raise ValidationError(
-            f"refinement level {k} would reach {final_n} vertices, over the "
-            f"cap of {cap} (raise STEKLOV_MAX_N to allow this)")
+    # so the final size is known before doing any work.  A level past the
+    # cap's bit length is over the cap already, so the exponent stops there
+    # and the size stays a printable number.
+    k = min(k, max_instance_size().bit_length())
+    _enforce_cap(rg.n + len(rg.edges) * (4**k - 1) // 3, f"refinement level {k}")
 
 
 def _cmd_spectrum(args) -> int:

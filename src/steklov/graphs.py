@@ -28,6 +28,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedRotation,
     SelfLoop,
+    ValidationError,
 )
 
 
@@ -117,12 +118,26 @@ class RotationGraph:
         return self.base.boundary
 
 
-def _check_vertex(x, n: int, what: str) -> int:
+def _check_int(x, what: str, low: int, high: int | None = None,
+               error: type[ValidationError] = ValidationError) -> int:
+    """The package's one integer rule: ``x`` as a Python int in
+    ``[low, high)``, refusing ``bool`` and non-integers with ``error``."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise IndexOutOfRange(f"{what}: expected an integer vertex id, got {x!r}")
-    if not 0 <= x < n:
-        raise IndexOutOfRange(f"{what}: vertex {x} outside [0, {n})")
+        raise error(f"{what}: expected an integer, got {x!r}")
+    if x < low:
+        raise error(f"{what}: {x} is below the minimum {low}")
+    if high is not None and x >= high:
+        raise error(f"{what}: {x} is out of range (must be < {high})")
     return int(x)
+
+
+def _check_vertex(x, n: int, what: str) -> int:
+    return _check_int(x, what, 0, n, IndexOutOfRange)
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """The package's one seeded random stream, keyed by 0 <= seed < 2**64."""
+    return np.random.Generator(np.random.Philox(_check_int(seed, "seed", 0, 2**64)))
 
 
 def build_boundary_graph(
@@ -136,9 +151,7 @@ def build_boundary_graph(
     input.  Edges are stored with the smaller endpoint first, sorted;
     the boundary is sorted with duplicates removed.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise IndexOutOfRange(f"vertex count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_int(n, "vertex count", 1, error=IndexOutOfRange)
 
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

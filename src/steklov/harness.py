@@ -30,6 +30,8 @@ from .errors import (
 from .graphs import (
     BoundaryGraph,
     RotationGraph,
+    _check_int,
+    _seeded_rng,
     build_boundary_graph,
     build_rotation_graph,
     genus,
@@ -65,15 +67,6 @@ def _enforce_cap(n: int, what: str) -> None:
                               "(raise STEKLOV_MAX_N to allow this)")
 
 
-def _positive_int(x, what: str, minimum: int = 0) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {x!r}")
-    x = int(x)
-    if x < minimum:
-        raise ValidationError(f"{what} must be at least {minimum}, got {x}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -88,16 +81,6 @@ class GraphDocument:
     boundary: tuple[int, ...]
     rotation: tuple[tuple[int, ...], ...] | None = None
     meta: dict | None = None
-
-
-def _schema_int(value, where: str, *, low=None, high=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
-    if low is not None and value < low:
-        raise SchemaError(f"{where}: {value} is below the minimum {low}")
-    if high is not None and value >= high:
-        raise SchemaError(f"{where}: {value} is out of range (must be < {high})")
-    return value
 
 
 def parse_document(text: str) -> GraphDocument:
@@ -121,7 +104,7 @@ def parse_document(text: str) -> GraphDocument:
         if key not in obj:
             raise SchemaError(f"missing required key {key!r}")
 
-    n = _schema_int(obj["n"], "n", low=1)
+    n = _check_int(obj["n"], "n", 1, error=SchemaError)
     _enforce_cap(n, "document")
 
     raw_edges = obj["edges"]
@@ -132,8 +115,8 @@ def parse_document(text: str) -> GraphDocument:
     for i, e in enumerate(raw_edges):
         if not isinstance(e, list) or len(e) != 2:
             raise SchemaError(f"edges[{i}]: expected a pair [u, v]")
-        u = _schema_int(e[0], f"edges[{i}][0]", low=0, high=n)
-        v = _schema_int(e[1], f"edges[{i}][1]", low=0, high=n)
+        u = _check_int(e[0], f"edges[{i}][0]", 0, n, SchemaError)
+        v = _check_int(e[1], f"edges[{i}][1]", 0, n, SchemaError)
         if u >= v:
             raise SchemaError(f"edges[{i}]: endpoints must satisfy u < v, got {e}")
         if (u, v) in seen:
@@ -146,7 +129,7 @@ def parse_document(text: str) -> GraphDocument:
         raise SchemaError("boundary: expected a non-empty list")
     boundary: list[int] = []
     for i, b in enumerate(raw_boundary):
-        b = _schema_int(b, f"boundary[{i}]", low=0, high=n)
+        b = _check_int(b, f"boundary[{i}]", 0, n, SchemaError)
         if boundary and b <= boundary[-1]:
             raise SchemaError(f"boundary[{i}]: entries must be strictly increasing")
         boundary.append(b)
@@ -161,7 +144,7 @@ def parse_document(text: str) -> GraphDocument:
             if not isinstance(ring, list):
                 raise SchemaError(f"rotation[{v}]: expected a list")
             rings.append(tuple(
-                _schema_int(w, f"rotation[{v}][{i}]", low=0, high=n)
+                _check_int(w, f"rotation[{v}][{i}]", 0, n, SchemaError)
                 for i, w in enumerate(ring)
             ))
         rotation = tuple(rings)
@@ -261,7 +244,7 @@ def icosahedron() -> RotationGraph:
 def gen_sphere(level: int) -> RotationGraph:
     """Icosahedron refined ``level`` times: genus 0, max degree 6,
     (V, E, F) = (12, 30, 20), (42, 120, 80), (162, 480, 320), ..."""
-    level = _positive_int(level, "level", minimum=0)
+    level = _check_int(level, "level", 0)
     rg = icosahedron()
     for _ in range(level):
         _enforce_cap(rg.n + len(rg.edges), "subdivided sphere")
@@ -272,8 +255,8 @@ def gen_sphere(level: int) -> RotationGraph:
 def gen_torus(n: int, m: int) -> RotationGraph:
     """n-by-m wraparound grid with one diagonal per square: V = nm,
     E = 3nm, F = 2nm, genus 1, every vertex of degree 6."""
-    n = _positive_int(n, "n", minimum=1)
-    m = _positive_int(m, "m", minimum=1)
+    n = _check_int(n, "n", 1)
+    m = _check_int(m, "m", 1)
     if n < 3 or m < 3:
         raise TooSmall(f"torus grid needs n, m >= 3, got ({n}, {m})")
     _enforce_cap(n * m, "torus grid")
@@ -349,8 +332,8 @@ def gen_genus(g: int, resolution: int = 5) -> RotationGraph:
     the chords retriangulating the merged face, so the degree stays
     bounded by a small constant over the base grid's 6.
     """
-    g = _positive_int(g, "g", minimum=1)
-    resolution = _positive_int(resolution, "resolution", minimum=1)
+    g = _check_int(g, "g", 1)
+    resolution = _check_int(resolution, "resolution", 1)
     rg = gen_torus(resolution, resolution)
     for _ in range(g - 1):
         rg = _add_handle(rg)
@@ -392,8 +375,7 @@ def _policy_boundary(rg: RotationGraph, policy: str) -> list[int]:
             raise ValidationError(f"could not parse policy parameters in {policy!r}")
         if not 0.0 < p <= 1.0:
             raise ValidationError(f"fraction must lie in (0, 1], got {p}")
-        rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-        mask = rng.random(rg.n) < p
+        mask = _seeded_rng(seed).random(rg.n) < p
         return [v for v in range(rg.n) if mask[v]]
     raise ValidationError(f"unknown boundary policy {policy!r}")
 
@@ -404,7 +386,7 @@ def sweep_main_bound(g_max: int, resolution: int,
     policy, and record lambda_2 * |boundary| / g.  Instances whose policy
     leaves fewer than two boundary vertices are skipped with a logged
     diagnostic (lambda_2 needs a two-point spectrum)."""
-    g_max = _positive_int(g_max, "g_max", minimum=1)
+    g_max = _check_int(g_max, "g_max", 1)
     records: list[SweepRecord] = []
     for gg in range(1, g_max + 1):
         rg = gen_genus(gg, resolution)

@@ -271,9 +271,10 @@ def mobius_normalize(sc: SphereConfiguration, subset=None) -> SphereConfiguratio
     and is halved until the centroid norm drops.  Points are renormalized
     to the sphere after every step, so the centroid checked is that of the
     returned points.  Returns the input unchanged when it is already
-    centered.  Raises NormalizationFailure when the centroid norm stalls
-    above 1e-7 — which is the expected outcome when one point carries at
-    least half of the subset.
+    centered.  Raises NormalizationFailure up front when one point carries
+    more than half of the subset (no Möbius map can center that), and
+    whenever the centroid norm stalls above 1e-7, which is how nearly
+    coincident points end.
     """
     sub_idx = list(sc.boundary if subset is None else subset)
     if not sub_idx:
@@ -284,9 +285,13 @@ def mobius_normalize(sc: SphereConfiguration, subset=None) -> SphereConfiguratio
     err = float(np.linalg.norm(c))
     if err <= _CENTROID_TOL:
         return sc
-    if float(np.max(np.linalg.norm(sub - sub[0], axis=1))) < 1e-12:
+    # A point holding more than half of the subset fills the middle of any
+    # lexicographic order, so only the median row needs counting.
+    m = len(sub)
+    count = int(np.all(sub == sub[np.lexsort(sub.T)[m // 2]], axis=1).sum())
+    if 2 * count > m:
         raise NormalizationFailure(
-            "all subset points coincide; no Möbius map can center them"
+            f"{count} of {m} subset points coincide; no Möbius map can center them"
         )
 
     steps = 0

@@ -14,12 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .errors import NonCycleFace, NotTriangulated, ValidationError
+from .errors import NonCycleFace, NotTriangulated
 from .graphs import (
     BoundaryGraph,
     RotationGraph,
+    _check_int,
     build_boundary_graph,
     build_rotation_graph,
     trace_faces,
@@ -240,8 +239,7 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
     """
     if boundary is None:
         boundary = rg.boundary
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ValidationError(f"refinement level must be a non-negative integer, got {k!r}")
+    k = _check_int(k, "refinement level", 0)
     faces = trace_faces(rg)  # with_boundary keeps the rotation, hence the faces
     if any(len(f) != 3 for f in faces):
         raise NotTriangulated("refinement requires a fully triangulated input")
@@ -249,7 +247,7 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
     lattices: list[dict] = [{(0, 0): f[0], (1, 0): f[1], (0, 1): f[2]} for f in faces]
 
     cur = src
-    for _ in range(int(k)):
+    for _ in range(k):
         cur, mid = _hex_subdivide_mapped(cur)
         doubled = []
         for lat in lattices:
@@ -269,13 +267,13 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
     inherited = tuple(x for x in range(cur.n) if parent[x] in bset)
     return RefinedGraph(
         graph=with_boundary(cur, inherited),
-        level=int(k),
+        level=k,
         parent_map=tuple(parent),
         inherited_boundary=inherited,
         source=src,
         source_faces=faces,
         face_lattices=tuple(lattices),
-        resolution=1 << int(k),
+        resolution=1 << k,
     )
 
 

@@ -16,7 +16,16 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceFailure, Disconnected, SameVertex, TooSmall
-from .graphs import RotationGraph, _check_vertex, genus, is_connected, laplacian, with_boundary
+from .graphs import (
+    RotationGraph,
+    _check_int,
+    _check_vertex,
+    _seeded_rng,
+    genus,
+    is_connected,
+    laplacian,
+    with_boundary,
+)
 from .spectrum import lambda_k
 
 _PCG_TOL = 1e-12
@@ -115,14 +124,14 @@ def resistance_genus_floor(rg: RotationGraph, max_pairs: int = 300) -> dict:
     scaled minimum is an *empirical* constant — it is reported, never
     asserted against.
     """
+    max_pairs = _check_int(max_pairs, "max_pairs", 1)
     base = rg.base
     if base.n < 2:
         raise TooSmall("need at least two vertices to measure a resistance")
     g = genus(rg)
     pairs = list(combinations(range(base.n), 2))
     if len(pairs) > max_pairs:
-        rng = np.random.Generator(np.random.Philox(np.uint64(0)))
-        chosen = rng.choice(len(pairs), size=max_pairs, replace=False)
+        chosen = _seeded_rng(0).choice(len(pairs), size=max_pairs, replace=False)
         pairs = [pairs[i] for i in sorted(chosen)]
 
     best_r = np.inf

@@ -31,7 +31,7 @@ from .errors import (
     SingularInterior,
     ZeroBoundaryNorm,
 )
-from .graphs import BoundaryGraph, RotationGraph, laplacian
+from .graphs import BoundaryGraph, RotationGraph, _check_int, laplacian
 
 # Relative residual allowed for the symmetric eigensolve.
 _EIG_TOL = 1e-9
@@ -80,8 +80,9 @@ def _check_interior_reaches_boundary(g: BoundaryGraph, L) -> None:
 
 
 def _schur_with_extension(g: BoundaryGraph):
-    """Return (S, ext) where S is the DtN matrix and ext maps boundary values
-    to the interior values of their harmonic extension (ext = -L_II^{-1} L_IB).
+    """Return (S, X) where S is the DtN matrix and X = L_II^{-1} L_IB, so
+    that -X maps boundary values to the interior values of their harmonic
+    extension.
     """
     L = laplacian(g)
     _check_interior_reaches_boundary(g, L)
@@ -95,7 +96,7 @@ def _schur_with_extension(g: BoundaryGraph):
     X = scipy.sparse.linalg.splu(P[nb:, nb:].tocsc()).solve(L_ib.toarray())
     S = L_bb - L_ib.T @ X
     S = 0.5 * (S + S.T)
-    return S, -X
+    return S, X
 
 
 def dtn_matrix(g) -> DtNMatrix:
@@ -130,22 +131,19 @@ def _checked_eigh(S: np.ndarray):
 def steklov_spectrum(g) -> SteklovSpectrum:
     """Full Steklov spectrum with harmonically extended eigenfunctions."""
     base = _base(g)
-    S, ext = _schur_with_extension(base)
+    S, X = _schur_with_extension(base)
     w, Q = _checked_eigh(S)
     F = np.empty((base.n, len(base.boundary)))
     F[list(base.boundary), :] = Q
     if base.interior:
-        F[list(base.interior), :] = ext @ Q
+        F[list(base.interior), :] = -(X @ Q)
     return SteklovSpectrum(eigenvalues=w, eigenfunctions=F, boundary=base.boundary)
 
 
 def lambda_k(g, k: int) -> float:
     """k-th Steklov eigenvalue, 1-indexed (lambda_1 = 0 for connected G)."""
     base = _base(g)
-    if not 1 <= k <= len(base.boundary):
-        raise IndexOutOfRange(
-            f"k={k} outside 1..{len(base.boundary)} (= boundary size)"
-        )
+    k = _check_int(k, "k", 1, len(base.boundary) + 1, IndexOutOfRange)
     S, _ = _schur_with_extension(base)
     return float(_checked_eigh(S)[0][k - 1])
 

@@ -171,6 +171,12 @@ def test_domain_errors_exit_one(tmp_path, p3_file, capsys):
     assert cli(["gen", "torus", "3", "-o", str(tmp_path / "x.json")]) == 1
     assert "takes parameters" in capsys.readouterr().err
 
+    octa = write_doc(tmp_path, "octa.json", graph_to_document(octahedron()))
+    assert cli(["immerse", octa, "--k", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed:")
+    assert cli(["sweep", "--policy", "random-fraction:0.5:-3"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed:")
+
 
 def test_convergence_failures_exit_two(tmp_path, capsys):
     rg = tetrahedron()
@@ -180,7 +186,10 @@ def test_convergence_failures_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_size_cap_applies_to_cli(tmp_path, monkeypatch, capsys):
+def test_size_cap_applies_to_cli(tmp_path, tetra_file, monkeypatch, capsys):
+    # a level whose vertex count has more digits than Python will print
+    assert cli(["subdivide", tetra_file, "--k", "10000"]) == 1
+    assert "over the cap" in capsys.readouterr().err
     monkeypatch.setenv("STEKLOV_MAX_N", "8")
     assert cli(["gen", "torus", "3", "3", "-o", str(tmp_path / "t.json")]) == 1
     assert "over the cap" in capsys.readouterr().err

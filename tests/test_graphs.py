@@ -54,6 +54,8 @@ def test_validation_errors():
         build_boundary_graph(3, [(0, 1)], [])
     with pytest.raises(IndexOutOfRange):
         build_boundary_graph(0, [], [0])
+    with pytest.raises(IndexOutOfRange):
+        build_boundary_graph(True, [], [0])
     # bool is an int subclass; True/False must not pass as vertices 1/0
     with pytest.raises(IndexOutOfRange):
         build_boundary_graph(3, [(True, 2)], [0])

@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import (
     CSV_HEADER,
@@ -108,6 +110,35 @@ def test_document_round_trip():
     doc = graph_to_document(tetrahedron().base)
     assert doc.rotation is None
     assert '"rotation"' not in serialize_document(doc)
+    assert parse_document(serialize_document(doc)) == doc
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _documents(draw):
+    """Any document the schema accepts: edges with u < v in any order,
+    a strictly increasing boundary, optional rotation rows and meta."""
+    n = draw(st.integers(1, 20))
+    vertex = st.integers(0, n - 1)
+    raw = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges = tuple(dict.fromkeys((min(u, v), max(u, v)) for u, v in raw if u != v))
+    boundary = tuple(sorted(draw(st.sets(vertex, min_size=1))))
+    rotation = draw(st.none() | st.lists(st.lists(vertex, max_size=4).map(tuple),
+                                         min_size=n, max_size=n).map(tuple))
+    meta = draw(st.none() | st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
+    return GraphDocument(n=n, edges=edges, boundary=boundary, rotation=rotation, meta=meta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents())
+def test_document_round_trip_property(doc):
     assert parse_document(serialize_document(doc)) == doc
 
 

@@ -20,6 +20,7 @@ from steklov import (
     refine,
     tetrahedron,
     verify_immersion,
+    with_boundary,
 )
 
 from helpers import random_boundary, random_connected_graph
@@ -120,6 +121,12 @@ def test_random_immersion_needs_refinement():
         random_immersion(refine(octahedron(), None, 0), 0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, 2**64])
+def test_random_immersion_refuses_bad_seeds(seed):
+    with pytest.raises(ValidationError):
+        random_immersion(refine(octahedron(), None, 1), seed)
+
+
 @pytest.mark.parametrize("builder,k,seeds", [
     (octahedron, 1, range(12)),
     (tetrahedron, 2, range(12)),
@@ -149,11 +156,18 @@ def test_path_length_scales_with_resolution():
 
 
 def test_chain_bound_level_zero_is_exact():
-    out = chain_bound(octahedron(), None, 0)
-    assert out["ratio"] == 1.0
-    assert out["lhs"] == out["rhs"]
-    assert out["comparison_holds"] is True
-    assert out["best_seed"] is None
+    for builder, boundary in ((tetrahedron, None), (octahedron, None),
+                              (octahedron, [0, 2, 4]), (icosahedron, [0, 1, 5, 7])):
+        rg = builder()
+        lam = lambda_k(rg if boundary is None else with_boundary(rg, boundary), 2)
+        nb = rg.n if boundary is None else len(boundary)
+        assert chain_bound(rg, boundary, 0) == {
+            "k": 0, "seeds": (), "boundary_size": nb, "refined_boundary_size": nb,
+            "lambda2_source": lam, "lambda2_refined": lam, "lhs": nb * lam,
+            "rhs": nb * lam, "ratio": 1.0, "best_seed": None, "best_xi": 1,
+            "best_ell": 1, "best_lambda2_host": lam, "best_bound": lam,
+            "comparison_holds": True,
+        }
 
 
 def test_chain_bound_octahedron():
@@ -165,6 +179,8 @@ def test_chain_bound_octahedron():
     assert out["lambda2_source"] == pytest.approx(
         lambda_k(octahedron(), 2), abs=1e-12)
     assert out["best_bound"] >= out["lambda2_source"] - 1e-8
+    with pytest.raises(ValidationError):
+        chain_bound(octahedron(), None, 1, seeds=())
 
 
 def test_chain_bound_torus_grid():

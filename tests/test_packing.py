@@ -224,6 +224,24 @@ def test_mobius_rejects_point_masses():
     with pytest.raises(NormalizationFailure):
         mobius_normalize(SphereConfiguration(points=pts, boundary=tuple(range(10))))
 
+    # points that nearly coincide are not caught by the exact count, but
+    # Newton cannot spread them and stalls
+    near = pole + 1e-13 * rng.normal(size=(8, 3))
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    with pytest.raises(NormalizationFailure):
+        mobius_normalize(SphereConfiguration(points=near, boundary=tuple(range(8))))
+
+
+def test_mobius_centres_exactly_half_at_one_point():
+    # half the mass at one point is the limit case: the centroid can still
+    # be driven below the tolerance, so it must not be refused up front
+    rng = np.random.Generator(np.random.Philox(2))
+    tail = rng.normal(size=(5, 3))
+    tail /= np.linalg.norm(tail, axis=1, keepdims=True)
+    pts = np.vstack([np.tile([0.0, 0.0, 1.0], (5, 1)), tail])
+    out = mobius_normalize(SphereConfiguration(points=pts, boundary=tuple(range(10))))
+    assert np.linalg.norm(out.boundary_centroid) <= 1e-7
+
 
 def test_mobius_needs_a_subset():
     pts = np.eye(3)

@@ -9,6 +9,7 @@ from steklov import (
     RotationGraph,
     SameVertex,
     TooSmall,
+    ValidationError,
     build_boundary_graph,
     build_rotation_graph,
     effective_resistance,
@@ -99,6 +100,8 @@ def test_resistance_input_validation():
     split = build_boundary_graph(4, [(0, 1), (2, 3)], [0])
     with pytest.raises(Disconnected):
         effective_resistance(split, 0, 2)
+    with pytest.raises(ValidationError):
+        resistance_genus_floor(gen_torus(3, 3), max_pairs=0)
 
 
 def test_genus_floor_on_smallest_graph():

@@ -172,6 +172,9 @@ def test_lambda_k_bounds_checked():
         lambda_k(g, 0)
     with pytest.raises(IndexOutOfRange):
         lambda_k(g, 3)  # only two boundary vertices
+    for k in (2.0, True):
+        with pytest.raises(IndexOutOfRange):
+            lambda_k(g, k)
 
 
 def test_interior_must_reach_boundary():
