@@ -14,6 +14,11 @@ The blocks are cut from the CSR Laplacian of :func:`graphs.laplacian`; one
 sparse LU factorization of L_II (SuperLU via ``scipy.sparse.linalg.splu``)
 solves for every boundary column, L_BI multiplies the solution as a sparse
 matrix, and S is then eigensolved densely.
+
+The dense steps (the eigensolve and the products with its eigenvectors)
+call SciPy's LAPACK/BLAS, the OpenBLAS that SuperLU uses.  NumPy's wheel
+bundles a second OpenBLAS; handing work from one to the other leaves the
+first one's worker threads spinning for a while on cores the second needs.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
@@ -113,11 +119,12 @@ def dtn_matrix(g) -> DtNMatrix:
 def _checked_eigh(S: np.ndarray):
     """Eigenpairs of the DtN matrix, residual-checked, l_1 clamped to 0."""
     try:
-        w, Q = np.linalg.eigh(S)
+        w, Q = scipy.linalg.eigh(S, driver="evd", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolve failed: {exc}") from exc
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    resid = float(np.abs(S @ Q - Q * w).max(initial=0.0))
+    # S is exactly symmetric, so S.T is S in the Fortran order BLAS reads.
+    resid = float(np.abs(scipy.linalg.blas.dgemm(1.0, S.T, Q) - Q * w).max(initial=0.0))
     if resid > _EIG_TOL * scale:
         raise ConvergenceFailure(
             f"eigensolve residual {resid:.3e} above {_EIG_TOL:.0e} * {scale:.3e}"
@@ -136,7 +143,7 @@ def steklov_spectrum(g) -> SteklovSpectrum:
     F = np.empty((base.n, len(base.boundary)))
     F[list(base.boundary), :] = Q
     if base.interior:
-        F[list(base.interior), :] = -(X @ Q)
+        F[list(base.interior), :] = scipy.linalg.blas.dgemm(-1.0, X, Q)
     return SteklovSpectrum(eigenvalues=w, eigenfunctions=F, boundary=base.boundary)
 
 
