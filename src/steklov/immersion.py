@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 from .errors import (
     BoundaryMismatch,
     BrokenPath,
+    Disconnected,
     EndpointMismatch,
     IndexOutOfRange,
     ValidationError,
 )
-from .graphs import BoundaryGraph, RotationGraph, _seeded_rng
+from .graphs import BoundaryGraph, RotationGraph, _seeded_rng, is_connected
 from .refine import RefinedGraph, refine
 from .spectrum import lambda_k
 
@@ -399,7 +400,10 @@ def chain_bound(rg: RotationGraph, boundary, k: int, seeds=(0, 1, 2, 3)) -> dict
     the best intermediate bound xi*ell*lambda2(host), and reports the
     empirical ratio between the two products.  k = 0 routes nothing: the
     identity witness (xi = ell = 1) is the chain, with ratio exactly 1.
+    A disconnected triangulation has lambda2 = 0 and raises Disconnected.
     """
+    if not is_connected(rg.base):
+        raise Disconnected("chain_bound needs a connected triangulation")
     refined = refine(rg, boundary, k)
     k = refined.level
     seeds = tuple(seeds) if k else ()

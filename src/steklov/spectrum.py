@@ -10,12 +10,23 @@ Its eigenvalues 0 = l_1 <= l_2 <= ... <= l_{|B|} are the Steklov
 eigenvalues of the pair (G, B); eigenvectors extend harmonically into the
 interior.  When B is all of V there is no interior block and S = L.
 
-The blocks are cut from the CSR Laplacian of :func:`graphs.laplacian`; one
-sparse LU factorization of L_II (SuperLU via ``scipy.sparse.linalg.splu``)
-solves for every boundary column, L_BI multiplies the solution as a sparse
-matrix, and S is then eigensolved densely.
+Two routes share the CSR Laplacian of :func:`graphs.laplacian`:
 
-The dense steps (the eigensolve and the products with its eigenvectors)
+* ``dtn_matrix`` and ``steklov_spectrum`` return output dense in |B|, so
+  they build S itself: one sparse LU factorization of L_II (SuperLU via
+  ``scipy.sparse.linalg.splu``) solves for every boundary column, L_BI
+  multiplies the solution as a sparse matrix, and S is eigensolved densely.
+  Their arrays grow like |B|^2, so a boundary too large for them is
+  refused with a ``ValidationError`` before anything dense is allocated.
+* ``lambda_k`` answers one eigenvalue without S.  It factors the shifted
+  matrix A = L - sigma B once (B the boundary indicator, sigma < 0).  A is
+  positive definite because every component holds a boundary vertex, and
+  by block inversion the boundary block of A^{-1} is (S - sigma I)^{-1}.
+  Shift-invert Lanczos (ARPACK's ``eigsh``) on that |B|-dimensional
+  operator gives nu = 1 / (l - sigma), and a Sylvester inertia count of
+  L - mu B certifies that no eigenvalue below the answer was skipped.
+
+The dense steps (the eigensolves and the products with their eigenvectors)
 call SciPy's LAPACK/BLAS, the OpenBLAS that SuperLU uses.  NumPy's wheel
 bundles a second OpenBLAS; handing work from one to the other leaves the
 first one's worker threads spinning for a while on cores the second needs.
@@ -27,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
@@ -35,16 +47,27 @@ from .errors import (
     ConvergenceFailure,
     IndexOutOfRange,
     SingularInterior,
+    ValidationError,
     ZeroBoundaryNorm,
 )
-from .graphs import BoundaryGraph, RotationGraph, _check_int, laplacian
+from .graphs import BoundaryGraph, RotationGraph, _check_int, _seeded_rng, laplacian
 
-# Relative residual allowed for the symmetric eigensolve.
+# Relative residual allowed for the symmetric eigensolves.
 _EIG_TOL = 1e-9
-# |l_1| below this multiple of the top eigenvalue is clamped to exactly 0.
+# |l_i| below this multiple of the top eigenvalue is clamped to exactly 0.
 _KERNEL_CLAMP = 1e-9
 # Preconditions on vector-valued Rayleigh data.
 _CENTROID_PRE_TOL = 1e-6
+# Ritz values this close to lambda_k, relatively, form its cluster.
+_CLUSTER_TOL = 1e-9
+# Where the inertia count sits in the gap below lambda_k's cluster.  The
+# spectrum of a small integer Laplacian is algebraic; a transcendental
+# fraction keeps mu off the eigenvalues of its leading blocks, where a pivot
+# is exactly zero (the gap midpoint 2.0 of [0, 4] and the golden fraction on
+# the icosahedron both hit one).  The second is tried if the first fails.
+_GAP_FRACTIONS = (1.0 - np.exp(-1.0), 1.0 / np.pi)
+# Bytes the dense |B| x |B| routes may hold at once.
+_DENSE_BUDGET = 5 * 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +96,12 @@ def _base(g) -> BoundaryGraph:
     return g.base if isinstance(g, RotationGraph) else g
 
 
-def _check_interior_reaches_boundary(g: BoundaryGraph, L) -> None:
-    """Every component must contain a boundary vertex, else L_II is singular."""
+def _check_interior_reaches_boundary(g: BoundaryGraph, L) -> int:
+    """Every component must contain a boundary vertex, else L_II is singular.
+
+    Returns the number of components, which is then the multiplicity of the
+    Steklov eigenvalue 0.
+    """
     ncomp, label = scipy.sparse.csgraph.connected_components(L, directed=False)
     has_boundary = np.zeros(ncomp, dtype=bool)
     has_boundary[label[list(g.boundary)]] = True
@@ -83,26 +110,45 @@ def _check_interior_reaches_boundary(g: BoundaryGraph, L) -> None:
         raise SingularInterior(
             f"vertex {stranded[0]} lies in a component with no boundary vertex"
         )
+    return ncomp
+
+
+def _check_dense_size(n: int, nb: int) -> None:
+    """Refuse dense |B| x |B| work that would not fit, before allocating it.
+
+    Counts the float64 arrays of ``steklov_spectrum`` at its peak, from n
+    and |B| alone: S, the eigensolver's copy of S and its 2|B|^2 workspace,
+    the eigenvectors Q and the n x |B| eigenfunctions.  That is the largest
+    dense route once |B| is large, which is where the budget binds.
+    """
+    need = 8 * (5 * nb * nb + n * nb)
+    if need > _DENSE_BUDGET:
+        raise ValidationError(
+            f"dense spectral work on {nb} boundary vertices ({n} in all) needs "
+            f"{need / 2**30:.1f} GiB, over the {_DENSE_BUDGET / 2**30:.0f} GiB "
+            "budget; lambda_k answers single eigenvalues without it"
+        )
 
 
 def _schur_with_extension(g: BoundaryGraph):
-    """Return (S, X) where S is the DtN matrix and X = L_II^{-1} L_IB, so
+    """Return (S, X, c) where S is the DtN matrix, X = L_II^{-1} L_IB, so
     that -X maps boundary values to the interior values of their harmonic
-    extension.
+    extension, and c is the number of components.
     """
-    L = laplacian(g)
-    _check_interior_reaches_boundary(g, L)
     nb = len(g.boundary)
+    _check_dense_size(g.n, nb)
+    L = laplacian(g)
+    ncomp = _check_interior_reaches_boundary(g, L)
     order = list(g.boundary) + list(g.interior)
     P = L[order][:, order]  # boundary first: the blocks are contiguous slices
     L_bb = P[:nb, :nb].toarray()
     if nb == g.n:
-        return L_bb, np.zeros((0, nb))
+        return L_bb, np.zeros((0, nb)), ncomp
     L_ib = P[nb:, :nb]
     X = scipy.sparse.linalg.splu(P[nb:, nb:].tocsc()).solve(L_ib.toarray())
     S = L_bb - L_ib.T @ X
     S = 0.5 * (S + S.T)
-    return S, X
+    return S, X, ncomp
 
 
 def dtn_matrix(g) -> DtNMatrix:
@@ -112,12 +158,13 @@ def dtn_matrix(g) -> DtNMatrix:
     when G is connected.  With full boundary this is just the Laplacian.
     """
     base = _base(g)
-    S, _ = _schur_with_extension(base)
+    S, _, _ = _schur_with_extension(base)
     return DtNMatrix(matrix=S, boundary=base.boundary)
 
 
-def _checked_eigh(S: np.ndarray):
-    """Eigenpairs of the DtN matrix, residual-checked, l_1 clamped to 0."""
+def _checked_eigh(S: np.ndarray, zeros: int = 0):
+    """Eigenpairs of a dense symmetric matrix, residual-checked; those of
+    the first ``zeros`` eigenvalues within roundoff of 0 are set to 0."""
     try:
         w, Q = scipy.linalg.eigh(S, driver="evd", check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -129,17 +176,19 @@ def _checked_eigh(S: np.ndarray):
         raise ConvergenceFailure(
             f"eigensolve residual {resid:.3e} above {_EIG_TOL:.0e} * {scale:.3e}"
         )
-    if abs(w[0]) < _KERNEL_CLAMP * scale:
-        w = w.copy()
-        w[0] = 0.0
+    w[:zeros][np.abs(w[:zeros]) < _KERNEL_CLAMP * scale] = 0.0
     return w, Q
 
 
 def steklov_spectrum(g) -> SteklovSpectrum:
-    """Full Steklov spectrum with harmonically extended eigenfunctions."""
+    """Full Steklov spectrum with harmonically extended eigenfunctions.
+
+    The eigenvalue 0 has one copy per component; copies within roundoff of
+    0 are returned as exactly 0.
+    """
     base = _base(g)
-    S, X = _schur_with_extension(base)
-    w, Q = _checked_eigh(S)
+    S, X, ncomp = _schur_with_extension(base)
+    w, Q = _checked_eigh(S, zeros=ncomp)
     F = np.empty((base.n, len(base.boundary)))
     F[list(base.boundary), :] = Q
     if base.interior:
@@ -147,12 +196,125 @@ def steklov_spectrum(g) -> SteklovSpectrum:
     return SteklovSpectrum(eigenvalues=w, eigenfunctions=F, boundary=base.boundary)
 
 
+def _ldl(L, bidx: np.ndarray, mu: float):
+    """SuperLU factorization of L - mu B, B the boundary indicator, that
+    keeps to the diagonal: a symmetric ordering and no threshold pivoting,
+    so while perm_r equals perm_c it is an LDL^T factorization with D on
+    the diagonal of U."""
+    d = np.zeros(L.shape[0])
+    d[bidx] = mu
+    return scipy.sparse.linalg.splu(
+        (L - scipy.sparse.diags(d, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _lanczos_lambdas(L, bidx: np.ndarray, sigma: float, k: int):
+    """The k + 1 smallest Steklov eigenvalues by shift-invert Lanczos, or
+    None when ARPACK stops short or a Ritz pair fails its residual check.
+
+    The operator x -> (A^{-1} E_B x)_B is (S - sigma I)^{-1}, applied
+    through one LU of A = L - sigma B; each Ritz value nu gives the Steklov
+    eigenvalue sigma + 1/nu.
+    """
+    n, nb = L.shape[0], len(bidx)
+    lu = _ldl(L, bidx, sigma)
+
+    def apply(x):
+        rhs = np.zeros((n,) + x.shape[1:])
+        rhs[bidx] = x
+        return lu.solve(rhs)[bidx]
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (nb, nb), matvec=apply, matmat=apply, dtype=float)
+    # A fixed start vector keeps the output byte-deterministic.
+    v0 = _seeded_rng(0).standard_normal(nb)
+    try:
+        nu, X = scipy.sparse.linalg.eigsh(op, k=k + 1, which="LA", tol=0, v0=v0)
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return None
+    lam = sigma + 1.0 / nu
+    # For y = nu^{-1} (S - sigma I)^{-1} x:  S y - lam y = (lam - sigma) (x - y).
+    resid = float(np.abs((X - apply(X) / nu) * (lam - sigma)).max())
+    if resid > _EIG_TOL * max(1.0, float(lam.max())):
+        return None
+    return lam[::-1]
+
+
+def _inertia_certifies(L, bidx: np.ndarray, lam: np.ndarray, k: int) -> bool:
+    """True when an inertia count confirms that Lanczos skipped no
+    eigenvalue below lambda_k's cluster.
+
+    With lam[j] the lowest member of that cluster (0-based), mu is placed
+    in the gap (lam[j-1], lam[j]).  L_II is positive definite, so
+    Haynsworth's additivity In(L - mu B) = In(L_II) + In(S - mu I) makes
+    the number of negative pivots of L - mu B the number of Steklov
+    eigenvalues below mu.  It must be exactly j, the Ritz values there.
+    """
+    j = int(np.argmax(lam >= lam[k - 1] * (1.0 - _CLUSTER_TOL)))
+    if j == 0:
+        return False
+    for frac in _GAP_FRACTIONS:
+        mu = lam[j - 1] + frac * (lam[j] - lam[j - 1])
+        try:
+            lu = _ldl(L, bidx, mu)
+        except RuntimeError:  # an exactly zero pivot
+            continue
+        if np.array_equal(lu.perm_r, lu.perm_c):
+            return int(np.count_nonzero(lu.U.diagonal() < 0)) == j
+    return False
+
+
+def _explicit_lambdas(L, bidx: np.ndarray, sigma: float) -> np.ndarray:
+    """All |B| Steklov eigenvalues, from (S - sigma I)^{-1} built column by
+    column through one LU of A = L - sigma B and eigensolved densely."""
+    n, nb = L.shape[0], len(bidx)
+    _check_dense_size(n, nb)
+    E = np.zeros((n, nb))
+    E[bidx, np.arange(nb)] = 1.0
+    M = _ldl(L, bidx, sigma).solve(E)[bidx]
+    nu, _ = _checked_eigh(0.5 * (M + M.T))
+    return (sigma + 1.0 / nu)[::-1]
+
+
 def lambda_k(g, k: int) -> float:
-    """k-th Steklov eigenvalue, 1-indexed (lambda_1 = 0 for connected G)."""
+    """k-th Steklov eigenvalue, 1-indexed (lambda_1 = 0 for connected G).
+
+    Route.  The first c eigenvalues, c the number of components, are
+    exactly 0 and are returned as such.  Otherwise, while k + 1 < |B|,
+    shift-invert Lanczos returns the k + 1 smallest eigenvalues (one more
+    than asked, so the gap above lambda_k shows), and an inertia count
+    certifies them.  When k + 1 >= |B| (outside ARPACK's domain), or when
+    Lanczos is not certified, the explicit finish eigensolves the whole
+    |B| x |B| matrix (S - sigma I)^{-1}; it is refused with a
+    ValidationError when |B| is too large for dense work.
+
+    Certificate.  Let j be the lowest index of lambda_k's cluster (Ritz
+    values within 1e-9 relative).  The count of negative pivots of L - mu B
+    at one mu in the gap below the cluster equals the number of eigenvalues
+    below mu, and must be j - 1: no eigenvalue below the cluster was
+    skipped, so the true lambda_k is at least mu.  The other side needs no
+    factorization: the k Ritz vectors up to lambda_k are orthonormal and
+    pass the residual check at 1e-9, so by the min-max characterisation the
+    true lambda_k is no larger than the returned value.
+    """
     base = _base(g)
     k = _check_int(k, "k", 1, len(base.boundary) + 1, IndexOutOfRange)
-    S, _ = _schur_with_extension(base)
-    return float(_checked_eigh(S)[0][k - 1])
+    L = laplacian(base)
+    if k <= _check_interior_reaches_boundary(base, L):
+        return 0.0
+    bidx = np.asarray(base.boundary)
+    # lambda_2 = O(D g / |B|) on the graphs this package studies, so the
+    # shift sits on lambda_2's scale: A stays well conditioned, and the
+    # transformed eigenvalues near lambda_k stay apart (a shift far above
+    # lambda_k crowds them together and Lanczos slows to a crawl).
+    sigma = -1.0 / len(bidx)
+    if k + 1 < len(bidx):
+        lam = _lanczos_lambdas(L, bidx, sigma, k)
+        if lam is not None and _inertia_certifies(L, bidx, lam, k):
+            return float(lam[k - 1])
+    return float(_explicit_lambdas(L, bidx, sigma)[k - 1])
 
 
 def rayleigh_quotient(g, f) -> float:

@@ -6,10 +6,12 @@ import pytest
 from steklov import (
     BoundaryMismatch,
     BrokenPath,
+    Disconnected,
     EndpointMismatch,
     Immersion,
     ValidationError,
     build_boundary_graph,
+    build_rotation_graph,
     chain_bound,
     comparison_bound,
     gen_torus,
@@ -187,6 +189,18 @@ def test_chain_bound_torus_grid():
     out = chain_bound(gen_torus(6, 6), None, 1, seeds=(0, 1))
     assert np.isfinite(out["ratio"]) and out["ratio"] > 0
     assert out["comparison_holds"] is True
+
+
+def test_chain_bound_refuses_disconnected_triangulation():
+    # two disjoint tetrahedra: lambda2 is 0, so the ratio has no meaning
+    t = tetrahedron()
+    g = build_boundary_graph(8, list(t.edges) + [(u + 4, v + 4) for u, v in t.edges],
+                             range(8))
+    rg = build_rotation_graph(g, list(t.rotation) + [[w + 4 for w in ring]
+                                                     for ring in t.rotation])
+    assert lambda_k(rg, 2) == 0.0
+    with pytest.raises(Disconnected):
+        chain_bound(rg, None, 1)
 
 
 def test_synthetic_immersions_from_helpers():

@@ -5,6 +5,9 @@ independent dense oracle in helpers.py (explicit Laplacian assembly +
 np.linalg.solve + eigvalsh) and then frozen.
 """
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +17,22 @@ from steklov import (
     CentroidNotZero,
     IndexOutOfRange,
     SingularInterior,
+    ValidationError,
     ZeroBoundaryNorm,
     build_boundary_graph,
     dtn_matrix,
+    gen_sphere,
+    gen_torus,
+    icosahedron,
     lambda_k,
     laplacian,
+    octahedron,
     rayleigh_quotient,
     steklov_spectrum,
     vector_rayleigh_bound,
 )
+
+from steklov.spectrum import _check_dense_size
 
 from helpers import (dtn_oracle, random_boundary, random_connected_graph,
                      spectrum_oracle)
@@ -240,3 +250,69 @@ def test_dtn_matrix_properties(case):
     assert np.linalg.eigvalsh(S).min() >= -1e-9 * scale
     np.testing.assert_allclose(S.sum(axis=1), 0.0, atol=1e-9 * scale)
     np.testing.assert_allclose(S, dtn_oracle(n, edges, boundary), atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_with_boundary())
+def test_lambda_k_matches_oracle_for_every_k(case):
+    n, edges, boundary = case
+    g = build_boundary_graph(n, edges, boundary)
+    want = spectrum_oracle(n, edges, boundary)
+    scale = max(1.0, float(want[-1]))
+    got = [lambda_k(g, k) for k in range(1, len(boundary) + 1)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+
+
+def _complete(n):
+    return build_boundary_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)],
+                                range(n))
+
+
+@pytest.mark.parametrize("make", [
+    octahedron, icosahedron, lambda: gen_torus(10, 10), lambda: gen_sphere(2),
+] + [lambda n=n: _complete(n) for n in range(2, 12)],
+    ids=["octahedron", "icosahedron", "torus10", "sphere2"]
+    + [f"K{n}" for n in range(2, 12)])
+def test_lambda_k_every_k_on_symmetric_graphs(make):
+    # multiple eigenvalues: Lanczos can skip a copy inside a cluster, which
+    # the inertia count has to catch
+    g = make()
+    base = getattr(g, "base", g)
+    want = spectrum_oracle(base.n, base.edges, base.boundary)
+    scale = max(1.0, float(want[-1]))
+    got = [lambda_k(g, k) for k in range(1, base.n + 1)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+
+
+def test_components_give_exact_zeros():
+    # two disjoint triangles, every vertex on the boundary
+    g = build_boundary_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                             range(6))
+    assert lambda_k(g, 1) == 0.0
+    assert lambda_k(g, 2) == 0.0
+    assert lambda_k(g, 3) == pytest.approx(3.0, abs=1e-9)
+    assert steklov_spectrum(g).eigenvalues[1] == 0.0
+
+
+def test_lambda2_of_torus_at_the_vertex_cap():
+    # the 141 x 141 triangulated torus with every vertex on the boundary has
+    # Laplacian eigenvalues 6 - 2cos a - 2cos b - 2cos(a + b), a, b in
+    # 2 pi Z / 141; the smallest nonzero one is 4 (1 - cos(2 pi / 141))
+    g = gen_torus(141, 141)
+    assert g.n == 19881 and len(g.boundary) == g.n
+    t0 = time.perf_counter()
+    got = lambda_k(g, 2)
+    elapsed = time.perf_counter() - t0
+    assert got == pytest.approx(4.0 * (1.0 - math.cos(2.0 * math.pi / 141)), rel=1e-9)
+    assert elapsed < 30.0
+
+
+def test_dense_routes_refuse_oversized_boundary():
+    # the budget admits sphere level 5 with full boundary (10 242 vertices)
+    _check_dense_size(10242, 10242)
+    g = gen_torus(141, 141)
+    for call in (steklov_spectrum, dtn_matrix):
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match="GiB"):
+            call(g)
+        assert time.perf_counter() - t0 < 1.0
