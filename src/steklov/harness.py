@@ -5,8 +5,10 @@ spheres by repeatedly hex-subdividing an icosahedron, tori as diagonal
 wraparound grids, and higher genus by inserting handles into a torus (an
 extra edge drawn between two far-apart triangular faces merges them and
 raises the genus by one; retriangulating restores the triangle-only
-invariant).  The sweep builds the genus family, assigns a boundary by
-policy, and records lambda_2 * |boundary| / g per genus as CSV rows.
+invariant).  The genus family is nested, each member the previous one
+plus a handle, so the sweep walks it once: one torus, then one handle per
+genus.  Per genus it assigns a boundary by policy and records
+lambda_2 * |boundary| / g as a CSV row.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .graphs import (
     _seeded_rng,
     build_boundary_graph,
     build_rotation_graph,
-    genus,
+    is_connected,
     trace_faces,
     with_boundary,
 )
-from .refine import fully_triangulate, hex_subdivide
+from .refine import _clip_face, hex_subdivide
 from .spectrum import lambda_k
 
 _log = logging.getLogger("steklov.harness")
@@ -282,16 +284,29 @@ def _attach_handle(rg: RotationGraph, fa, fb) -> RotationGraph:
 
     With the new darts inserted at the corners of fa and fb, the two
     triangles merge into one octagonal walk (Euler characteristic drops by
-    2); retriangulating the walk restores a triangulation one genus up.
+    2); clipping ears off that walk restores a triangulation one genus up.
+    Only the walk is traced, and the result is built and validated once.
     """
     va, xa, ya = fa
     vb, xb, yb = fb
     rot = [list(r) for r in rg.rotation]
     rot[va].insert(rot[va].index(ya) + 1, vb)
     rot[vb].insert(rot[vb].index(yb) + 1, va)
-    edges = list(rg.base.edges) + [(min(va, vb), max(va, vb))]
-    g2 = build_boundary_graph(rg.n, edges, rg.boundary)
-    return fully_triangulate(build_rotation_graph(g2, rot))
+    walk, dart = [], (va, vb)
+    while not walk or dart != (va, vb):
+        u, v = dart
+        walk.append(u)
+        dart = (v, rot[v][(rot[v].index(u) + 1) % len(rot[v])])
+    # Start the walk at its first dart in vertex/rotation order, where
+    # trace_faces starts a face: the ear clipping depends on the start.
+    m = len(walk)
+    i = min(range(m), key=lambda j: (walk[j], rot[walk[j]].index(walk[(j + 1) % m])))
+    walk = walk[i:] + walk[:i]
+    new = (min(va, vb), max(va, vb))
+    edge_set = set(rg.base.edge_set) | {new}
+    edges = list(rg.base.edges) + [new]
+    _clip_face(walk, rot, edge_set, edges)
+    return build_rotation_graph(build_boundary_graph(rg.n, edges, rg.boundary), rot)
 
 
 def _add_handle(rg: RotationGraph) -> RotationGraph:
@@ -299,11 +314,13 @@ def _add_handle(rg: RotationGraph) -> RotationGraph:
 
     Admissible means vertex-disjoint with no edges between the two
     triangles, so the retriangulation of the merged walk has room for its
-    chords.  The scan order is deterministic.
+    chords.  The scan order is deterministic.  A candidate is accepted
+    when one trace shows it connected, all triangles and one genus up.
     """
-    faces = [f for f in trace_faces(rg) if len(f) == 3]
+    faces = trace_faces(rg)
+    chi = rg.n - len(rg.edges) + len(faces) - 2  # Euler characteristic one genus up
+    faces = [f for f in faces if len(f) == 3]
     eset = rg.base.edge_set
-    target = genus(rg) + 1
     for ia in range(len(faces)):
         fa = faces[ia]
         sa = set(fa)
@@ -319,24 +336,40 @@ def _add_handle(rg: RotationGraph) -> RotationGraph:
                         out = _attach_handle(rg, fa[ra:] + fa[:ra], fb[rb:] + fb[:rb])
                     except (NonCycleFace, DuplicateEdge, MalformedRotation):
                         continue
-                    if genus(out) == target:
+                    out_faces = trace_faces(out)
+                    if (out.n - len(out.edges) + len(out_faces) == chi
+                            and all(len(f) == 3 for f in out_faces)
+                            and is_connected(out.base)):
                         return out
     raise TooSmall("no face pair is far enough apart to attach a handle; "
                    "increase the resolution")
 
 
+def _genus_family(g_max: int, resolution: int):
+    """Yield gen_genus(g, resolution) for g = 1..g_max: one torus, then
+    one handle on the previous member per step."""
+    resolution = _check_int(resolution, "resolution", 1)
+    rg = gen_torus(resolution, resolution)
+    yield rg
+    for _ in range(g_max - 1):
+        rg = _add_handle(rg)
+        yield rg
+
+
 def gen_genus(g: int, resolution: int = 5) -> RotationGraph:
     """Torus grid with g - 1 handles: fully triangulated, genus exactly g.
 
-    Each handle adds a single edge between two far-apart triangles plus
-    the chords retriangulating the merged face, so the degree stays
-    bounded by a small constant over the base grid's 6.
+    The family is nested: gen_genus(g, r) is gen_genus(g - 1, r) plus one
+    handle, an edge between two far-apart triangles and five chords
+    retriangulating the merged face.  So E = 3r^2 + 6(g - 1) and the mean
+    degree is 6 + 12(g - 1)/r^2.  The maximum degree is not bounded by a
+    constant: the scan takes the first admissible face pair, so handles
+    can land on vertices earlier handles raised (gen_genus(4, r) has
+    degree 12, gen_genus(28, 6) degree 30).
     """
     g = _check_int(g, "g", 1)
-    resolution = _check_int(resolution, "resolution", 1)
-    rg = gen_torus(resolution, resolution)
-    for _ in range(g - 1):
-        rg = _add_handle(rg)
+    for rg in _genus_family(g, resolution):
+        pass
     return rg
 
 
@@ -388,8 +421,7 @@ def sweep_main_bound(g_max: int, resolution: int,
     diagnostic (lambda_2 needs a two-point spectrum)."""
     g_max = _check_int(g_max, "g_max", 1)
     records: list[SweepRecord] = []
-    for gg in range(1, g_max + 1):
-        rg = gen_genus(gg, resolution)
+    for gg, rg in enumerate(_genus_family(g_max, resolution), start=1):
         chosen = _policy_boundary(rg, boundary_policy)
         if len(chosen) < 2:
             _log.warning("genus %d: policy %r selected %d boundary vertices; "

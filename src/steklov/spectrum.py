@@ -30,6 +30,8 @@ The dense steps (the eigensolves and the products with their eigenvectors)
 call SciPy's LAPACK/BLAS, the OpenBLAS that SuperLU uses.  NumPy's wheel
 bundles a second OpenBLAS; handing work from one to the other leaves the
 first one's worker threads spinning for a while on cores the second needs.
+With full boundary S is the sparse Laplacian, so the eigenpairs are checked
+by sparse products over column blocks instead of a dense |B|^3 product.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ _CLUSTER_TOL = 1e-9
 _GAP_FRACTIONS = (1.0 - np.exp(-1.0), 1.0 / np.pi)
 # Bytes the dense |B| x |B| routes may hold at once.
 _DENSE_BUDGET = 5 * 2**30
+# Eigenvector columns per block of a sparse residual product.
+_RESID_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +135,10 @@ def _check_dense_size(n: int, nb: int) -> None:
 
 
 def _schur_with_extension(g: BoundaryGraph):
-    """Return (S, X, c) where S is the DtN matrix, X = L_II^{-1} L_IB, so
+    """Return (S, X, c, L) where S is the DtN matrix, X = L_II^{-1} L_IB, so
     that -X maps boundary values to the interior values of their harmonic
-    extension, and c is the number of components.
+    extension, c is the number of components, and L is the sparse
+    Laplacian when the boundary is all of V (then S = L), else None.
     """
     nb = len(g.boundary)
     _check_dense_size(g.n, nb)
@@ -143,12 +148,12 @@ def _schur_with_extension(g: BoundaryGraph):
     P = L[order][:, order]  # boundary first: the blocks are contiguous slices
     L_bb = P[:nb, :nb].toarray()
     if nb == g.n:
-        return L_bb, np.zeros((0, nb)), ncomp
+        return L_bb, np.zeros((0, nb)), ncomp, P
     L_ib = P[nb:, :nb]
     X = scipy.sparse.linalg.splu(P[nb:, nb:].tocsc()).solve(L_ib.toarray())
     S = L_bb - L_ib.T @ X
     S = 0.5 * (S + S.T)
-    return S, X, ncomp
+    return S, X, ncomp, None
 
 
 def dtn_matrix(g) -> DtNMatrix:
@@ -158,20 +163,28 @@ def dtn_matrix(g) -> DtNMatrix:
     when G is connected.  With full boundary this is just the Laplacian.
     """
     base = _base(g)
-    S, _, _ = _schur_with_extension(base)
+    S = _schur_with_extension(base)[0]
     return DtNMatrix(matrix=S, boundary=base.boundary)
 
 
-def _checked_eigh(S: np.ndarray, zeros: int = 0):
+def _checked_eigh(S: np.ndarray, zeros: int = 0, sparse=None):
     """Eigenpairs of a dense symmetric matrix, residual-checked; those of
-    the first ``zeros`` eigenvalues within roundoff of 0 are set to 0."""
+    the first ``zeros`` eigenvalues within roundoff of 0 are set to 0.
+    ``sparse``, when given, is S as a sparse matrix and takes the residual
+    product in its place."""
     try:
         w, Q = scipy.linalg.eigh(S, driver="evd", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolve failed: {exc}") from exc
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    # S is exactly symmetric, so S.T is S in the Fortran order BLAS reads.
-    resid = float(np.abs(scipy.linalg.blas.dgemm(1.0, S.T, Q) - Q * w).max(initial=0.0))
+    if sparse is None:
+        # S is exactly symmetric, so S.T is S in the Fortran order BLAS reads.
+        resid = float(np.abs(scipy.linalg.blas.dgemm(1.0, S.T, Q) - Q * w).max(initial=0.0))
+    else:
+        # Column blocks keep the product's temporaries small.
+        b = _RESID_BLOCK
+        resid = max((float(np.abs(sparse @ Q[:, j:j + b] - Q[:, j:j + b] * w[j:j + b]).max())
+                     for j in range(0, len(w), b)), default=0.0)
     if resid > _EIG_TOL * scale:
         raise ConvergenceFailure(
             f"eigensolve residual {resid:.3e} above {_EIG_TOL:.0e} * {scale:.3e}"
@@ -187,8 +200,8 @@ def steklov_spectrum(g) -> SteklovSpectrum:
     0 are returned as exactly 0.
     """
     base = _base(g)
-    S, X, ncomp = _schur_with_extension(base)
-    w, Q = _checked_eigh(S, zeros=ncomp)
+    S, X, ncomp, L = _schur_with_extension(base)
+    w, Q = _checked_eigh(S, zeros=ncomp, sparse=L)
     F = np.empty((base.n, len(base.boundary)))
     F[list(base.boundary), :] = Q
     if base.interior:

@@ -1,5 +1,6 @@
 """Generators, the JSON graph format, size caps, and the genus sweep."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -19,6 +20,7 @@ from steklov import (
     gen_torus,
     genus,
     graph_to_document,
+    hex_subdivide,
     icosahedron,
     is_fully_triangulated,
     max_instance_size,
@@ -31,6 +33,7 @@ from steklov import (
     tetrahedron,
     trace_faces,
 )
+import steklov.harness as harness
 from steklov.harness import _policy_boundary
 
 
@@ -94,6 +97,38 @@ def test_genus_family():
 
     with pytest.raises(TooSmall):
         gen_genus(2, 3)  # every face pair on the 3x3 grid shares a vertex
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(5, 12))
+def test_genus_family_counts_property(g, r):
+    rg = gen_genus(g, r)
+    v, e, f = rg.n, len(rg.edges), len(trace_faces(rg))
+    assert (v, e, f) == (r * r, 3 * r * r + 6 * (g - 1), 2 * r * r + 4 * (g - 1))
+    assert genus(rg) == g
+    assert is_fully_triangulated(rg)
+
+    sub = hex_subdivide(rg)
+    assert (sub.n, len(sub.edges), len(trace_faces(sub))) == (v + e, 2 * e + 3 * f, 4 * f)
+    assert genus(sub) == g
+
+
+# sha256 of the serialized documents: the generated graphs are fixed byte
+# for byte, chords and rotation order included.
+@pytest.mark.parametrize("g,r,digest", [
+    (4, 10, "5a64494d3ed3ab690d443cc542076edf75f651afdbabf9b9ff13f555c5976036"),
+    (3, 20, "4030ea6f7d7792b8d4d3256766a6e76d4f96eb72e1aa03d7674210db8e2fb98c"),
+    (6, 8, "1b5ba64f1760a8aa05541006e6c4fca5b56c4bb23dc0dcb5c4e56b016374b98a"),
+])
+def test_genus_family_is_pinned(g, r, digest):
+    text = serialize_document(graph_to_document(gen_genus(g, r)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_genus_family_is_nested():
+    small, big = gen_genus(2, 6), gen_genus(3, 6)
+    assert set(small.edges) < set(big.edges)
+    assert len(big.edges) - len(small.edges) == 6
 
 
 def test_document_round_trip():
@@ -234,6 +269,31 @@ def test_sweep_records_and_csv():
         assert float(fields[4]) == pytest.approx(rec.lambda2, rel=1e-11)
 
     assert records_to_csv(sweep_main_bound(2, 4)) == csv  # byte-stable
+
+
+def test_sweep_csv_is_pinned():
+    assert records_to_csv(sweep_main_bound(4, 10)) == (
+        "family,g,D,boundary_size,lambda2,product,product_over_g\n"
+        "genus,1,6,100,0.7639320225,76.39320225,76.39320225\n"
+        "genus,2,9,100,0.7639320225,76.39320225,38.196601125\n"
+        "genus,3,12,100,0.7639320225,76.39320225,25.46440075\n"
+        "genus,4,12,100,0.7639320225,76.39320225,19.0983005625\n"
+    )
+
+
+def test_sweep_builds_the_family_once(monkeypatch):
+    calls = {"gen_torus": 0, "build_boundary_graph": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    sweep_main_bound(4, 10)
+    # one torus, then one validated build per handle
+    assert calls == {"gen_torus": 1, "build_boundary_graph": 4}
 
 
 def test_sweep_skips_tiny_boundaries(caplog):

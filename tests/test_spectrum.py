@@ -10,11 +10,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov import (
     CentroidNotZero,
+    ConvergenceFailure,
     IndexOutOfRange,
     SingularInterior,
     ValidationError,
@@ -316,3 +318,22 @@ def test_dense_routes_refuse_oversized_boundary():
         with pytest.raises(ValidationError, match="GiB"):
             call(g)
         assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_eigensolve_residual_is_checked(step, monkeypatch):
+    # 625 vertices: with full boundary (step 1) the sparse check runs over
+    # two column blocks, and the corrupted eigenvector sits in the second;
+    # step 2 takes the dense route through the Schur complement.
+    rg = gen_torus(25, 25)
+    g = build_boundary_graph(rg.n, rg.edges, range(0, rg.n, step))
+    eigh = scipy.linalg.eigh
+
+    def corrupted(*args, **kwargs):
+        w, Q = eigh(*args, **kwargs)
+        Q[:, -1] += 1e-6 * Q[:, 0]
+        return w, Q
+
+    monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        steklov_spectrum(g)
