@@ -286,10 +286,13 @@ def genus(rg: RotationGraph) -> int:
     """
     if not is_connected(rg.base):
         raise Disconnected("genus is only defined for connected graphs")
-    chi = rg.n - len(rg.edges) + len(trace_faces(rg))
-    g2 = 2 - chi
-    # chi is even for orientable maps, and <= 2 when connected.
-    return g2 // 2
+    return _euler_genus(rg)
+
+
+def _euler_genus(rg: RotationGraph) -> int:
+    """Genus of a map already known to be connected: V - E + F = 2 - 2g,
+    with chi even for orientable maps and <= 2 when connected."""
+    return (2 - rg.n + len(rg.edges) - len(trace_faces(rg))) // 2
 
 
 def is_fully_triangulated(rg: RotationGraph) -> bool:

@@ -1,11 +1,14 @@
 """Effective resistance of unit-resistor networks, computed two ways.
 
 The primary route reads the resistance off the two-point Steklov spectrum
-as 2 / lambda_2(G, {u, v}).  The cross-check solves L x = e_u - e_v in the
-orthogonal complement of the constants with a hand-rolled projected
-conjugate gradient and evaluates (e_u - e_v) . x.  Both numbers are
-returned and their agreement is enforced, so a silent regression in either
-route cannot go unnoticed.
+as 2 / lambda_2(G, {u, v}), through one LU of L + B/2 per pair.  The
+cross-check grounds vertex 0: it solves L[1:, 1:] x = (e_u - e_v)[1:] with
+x_0 = 0, so x differs from L^+ (e_u - e_v) by a constant, and evaluates
+x_u - x_v.  The grounded Laplacian is positive definite on a connected
+graph and is factored once per graph, so each pair costs two triangular
+solves, the second a refinement step.  Both numbers are returned and their
+agreement is enforced, so a silent regression in either route cannot go
+unnoticed.
 """
 
 from __future__ import annotations
@@ -14,21 +17,19 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from .errors import ConvergenceFailure, Disconnected, SameVertex, TooSmall
 from .graphs import (
     RotationGraph,
     _check_int,
     _check_vertex,
+    _euler_genus,
     _seeded_rng,
-    genus,
-    is_connected,
     laplacian,
-    with_boundary,
 )
-from .spectrum import lambda_k
+from .spectrum import _lambda_k, _ldl
 
-_PCG_TOL = 1e-12
 _AGREE_TOL = 1e-9
 
 
@@ -47,45 +48,34 @@ class ResistanceResult:
     discrepancy: float
 
 
-def _pinv_quadform(g, u: int, v: int) -> float:
-    """(e_u - e_v)^T L^+ (e_u - e_v) by Jacobi-preconditioned projected CG.
+def _network(base):
+    """The per-graph work: the Laplacian, checked connected once, and one
+    factorization of the grounded Laplacian L[1:, 1:]."""
+    L = laplacian(base)
+    if scipy.sparse.csgraph.connected_components(L, directed=False)[0] > 1:
+        raise Disconnected("effective resistance is defined on connected graphs")
+    return L, _ldl(L[1:, 1:])
 
-    Iterates live in the complement of the all-ones vector, where the
-    Laplacian of a connected graph is positive definite.
-    """
-    L = laplacian(g)
-    n = g.n
-    diag = np.asarray(L.diagonal(), dtype=float)
-    b = np.zeros(n)
+
+def _resistance(L, grounded, u: int, v: int) -> ResistanceResult:
+    """Both routes for one pair u != v on a network from :func:`_network`."""
+    r_steklov = 2.0 / _lambda_k(L, np.array(sorted((u, v))), 1, 2)
+    b = np.zeros(L.shape[0])
     b[u], b[v] = 1.0, -1.0
-    bnorm = np.linalg.norm(b)
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = r / diag
-    z -= z.mean()
-    p = z.copy()
-    rz = float(r @ z)
-    max_iter = 20 * n + 60
-    for _ in range(max_iter):
-        q = L @ p
-        alpha = rz / float(p @ q)
-        x += alpha * p
-        r -= alpha * q
-        r -= r.mean()
-        if np.linalg.norm(r) <= _PCG_TOL * bnorm:
-            break
-        z = r / diag
-        z -= z.mean()
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    else:
+    x = np.zeros(L.shape[0])
+    x[1:] = grounded.solve(b[1:])
+    # One refinement step: the grounded matrix is worse conditioned than L
+    # off the constants, and on a 3 x 6000 torus a lone solve lost 6.8e-10
+    # relative, 2.1e-11 after the step.
+    x[1:] += grounded.solve((b - L @ x)[1:])
+    r_pinv = float(x[u] - x[v])
+    disc = abs(r_steklov - r_pinv)
+    if disc > _AGREE_TOL * max(1.0, r_pinv):
         raise ConvergenceFailure(
-            f"projected CG did not reach {_PCG_TOL:g} within {max_iter} iterations"
+            f"resistance routes disagree: 2/lambda_2 = {r_steklov!r}, "
+            f"pseudoinverse = {r_pinv!r}"
         )
-    x -= x.mean()
-    return float(x[u] - x[v])
+    return ResistanceResult(u=u, v=v, r_steklov=r_steklov, r_pinv=r_pinv, discrepancy=disc)
 
 
 def effective_resistance(g, u, v) -> ResistanceResult:
@@ -101,19 +91,7 @@ def effective_resistance(g, u, v) -> ResistanceResult:
     v = _check_vertex(v, base.n, "v")
     if u == v:
         raise SameVertex(f"resistance needs two distinct vertices, got {u} twice")
-    if not is_connected(base):
-        raise Disconnected("effective resistance is defined on connected graphs")
-
-    lam2 = lambda_k(with_boundary(base, (u, v)), 2)
-    r_steklov = 2.0 / lam2
-    r_pinv = _pinv_quadform(base, u, v)
-    disc = abs(r_steklov - r_pinv)
-    if disc > _AGREE_TOL * max(1.0, r_pinv):
-        raise ConvergenceFailure(
-            f"resistance routes disagree: 2/lambda_2 = {r_steklov!r}, "
-            f"pseudoinverse = {r_pinv!r}"
-        )
-    return ResistanceResult(u=u, v=v, r_steklov=r_steklov, r_pinv=r_pinv, discrepancy=disc)
+    return _resistance(*_network(base), u, v)
 
 
 def resistance_genus_floor(rg: RotationGraph, max_pairs: int = 300) -> dict:
@@ -122,13 +100,15 @@ def resistance_genus_floor(rg: RotationGraph, max_pairs: int = 300) -> dict:
     All pairs are used when there are at most ``max_pairs`` of them;
     otherwise a fixed-seed sample keeps the report deterministic.  The
     scaled minimum is an *empirical* constant — it is reported, never
-    asserted against.
+    asserted against.  The graph's Laplacian and grounded factorization
+    are built once and shared by every pair.
     """
     max_pairs = _check_int(max_pairs, "max_pairs", 1)
     base = rg.base
     if base.n < 2:
         raise TooSmall("need at least two vertices to measure a resistance")
-    g = genus(rg)
+    L, grounded = _network(base)
+    g = _euler_genus(rg)
     pairs = list(combinations(range(base.n), 2))
     if len(pairs) > max_pairs:
         chosen = _seeded_rng(0).choice(len(pairs), size=max_pairs, replace=False)
@@ -137,7 +117,7 @@ def resistance_genus_floor(rg: RotationGraph, max_pairs: int = 300) -> dict:
     best_r = np.inf
     best_pair = pairs[0]
     for u, v in pairs:
-        r = effective_resistance(base, u, v).r_steklov
+        r = _resistance(L, grounded, u, v).r_steklov
         if r < best_r:
             best_r, best_pair = r, (u, v)
     return {

@@ -209,15 +209,23 @@ def steklov_spectrum(g) -> SteklovSpectrum:
     return SteklovSpectrum(eigenvalues=w, eigenfunctions=F, boundary=base.boundary)
 
 
-def _ldl(L, bidx: np.ndarray, mu: float):
-    """SuperLU factorization of L - mu B, B the boundary indicator, that
-    keeps to the diagonal: a symmetric ordering and no threshold pivoting,
-    so while perm_r equals perm_c it is an LDL^T factorization with D on
-    the diagonal of U."""
-    d = np.zeros(L.shape[0])
-    d[bidx] = mu
+def _ldl(L, bidx=None, mu: float = 0.0):
+    """SuperLU factorization of L - mu B, B the indicator of ``bidx`` (no
+    shift when it is None), that keeps to the diagonal: a symmetric
+    ordering and no threshold pivoting, so while perm_r equals perm_c it is
+    an LDL^T factorization with D on the diagonal of U.
+
+    L is a symmetric CSR matrix that stores its whole diagonal, as
+    :func:`graphs.laplacian` does.  The shift goes into a copy of its data,
+    and by symmetry the CSR arrays read as CSC are the same matrix.
+    """
+    data = L.data
+    if bidx is not None:
+        data = data.copy()
+        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+        data[np.flatnonzero(L.indices == rows)[bidx]] -= mu
     return scipy.sparse.linalg.splu(
-        (L - scipy.sparse.diags(d, format="csr")).tocsc(),
+        scipy.sparse.csc_matrix((data, L.indices, L.indptr), shape=L.shape),
         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
         options={"SymmetricMode": True},
     )
@@ -315,9 +323,15 @@ def lambda_k(g, k: int) -> float:
     base = _base(g)
     k = _check_int(k, "k", 1, len(base.boundary) + 1, IndexOutOfRange)
     L = laplacian(base)
-    if k <= _check_interior_reaches_boundary(base, L):
+    ncomp = _check_interior_reaches_boundary(base, L)
+    return _lambda_k(L, np.asarray(base.boundary), ncomp, k)
+
+
+def _lambda_k(L, bidx: np.ndarray, ncomp: int, k: int) -> float:
+    """The route of :func:`lambda_k` on a checked Laplacian L: ncomp
+    components, every one holding a vertex of the sorted boundary bidx."""
+    if k <= ncomp:
         return 0.0
-    bidx = np.asarray(base.boundary)
     # lambda_2 = O(D g / |B|) on the graphs this package studies, so the
     # shift sits on lambda_2's scale: A stays well conditioned, and the
     # transformed eigenvalues near lambda_k stay apart (a shift far above

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import (
     DuplicateEdge,
@@ -21,6 +23,8 @@ from steklov import (
     trace_faces,
     with_boundary,
 )
+
+from helpers import stacked_triangulation
 
 
 def cycle_rotation(n, boundary=(0,)):
@@ -166,6 +170,23 @@ def test_refine_counts_match_recurrence_over_levels():
             assert (ref.graph.n, len(ref.graph.edges)) == (v, e)
             assert len(trace_faces(ref.graph)) == f
             assert genus(ref.graph) == g0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.integers(1, 2))
+def test_counts_and_genus_on_random_triangulations(seed, n, k):
+    # the recurrences on irregular degrees, not only the structured families
+    rg = stacked_triangulation(np.random.Generator(np.random.Philox(seed)), n)
+    v, e, f = rg.n, len(rg.edges), len(trace_faces(rg))
+    assert genus(rg) == 0
+    out = hex_subdivide(rg)
+    assert (out.n, len(out.edges), len(trace_faces(out))) == (v + e, 2 * e + 3 * f, 4 * f)
+    assert genus(out) == 0
+    ref = refine(rg, None, k).graph
+    for _ in range(k):
+        v, e, f = v + e, 2 * e + 3 * f, 4 * f
+    assert (ref.n, len(ref.edges), len(trace_faces(ref))) == (v, e, f)
+    assert genus(ref) == 0
 
 
 def test_refine_face_lattices_cover_faces():

@@ -1,7 +1,11 @@
 """Effective resistance via two independent routes, plus the genus floor scan."""
 
+import time
+
 import numpy as np
 import pytest
+
+import steklov.resistance as resistance_module
 
 from steklov import (
     Disconnected,
@@ -13,6 +17,7 @@ from steklov import (
     build_boundary_graph,
     build_rotation_graph,
     effective_resistance,
+    gen_sphere,
     gen_torus,
     octahedron,
     resistance_genus_floor,
@@ -31,6 +36,12 @@ def bg(n, edges):
     (3, [(0, 1), (0, 2), (1, 2)], 0, 1, 2 / 3),  # 1 ohm parallel with 2
     (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 0, 1, 3 / 4),
     (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 0, 2, 1.0),
+    # vertex 0 is the grounded one of the cross-check, on either side
+    (2, [(0, 1)], 1, 0, 1.0),
+    (3, [(0, 1), (1, 2)], 2, 0, 2.0),
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 3, 0, 3 / 4),
+    (4, [(0, 1), (0, 2), (0, 3)], 3, 0, 1.0),    # star, grounded at the hub
+    (4, [(0, 1), (0, 2), (0, 3)], 1, 3, 2.0),
 ])
 def test_textbook_resistances(n, edges, u, v, expected):
     # oracle first: pseudoinverse quadratic form of the dense laplacian
@@ -81,6 +92,40 @@ def test_resistance_triangle_inequality():
         r_bc = effective_resistance(g, b, c).r_pinv
         r_ac = effective_resistance(g, a, c).r_pinv
         assert r_ac <= r_ab + r_bc + 1e-10
+
+
+def test_long_cycle_matches_closed_form():
+    # The cycle is where iterative solvers are weakest: lambda_2 of C_n is
+    # ~(2 pi / n)^2.  Across d steps, R = d (n - d) / n.
+    n, u, v = 20000, 1, 10000
+    g = bg(n, [(i, (i + 1) % n) for i in range(n)])
+    t0 = time.perf_counter()
+    res = effective_resistance(g, u, v)
+    elapsed = time.perf_counter() - t0
+    want = (v - u) * (n - (v - u)) / n
+    assert want == pytest.approx(4999.99995, abs=1e-9)
+    assert res.r_steklov == pytest.approx(want, rel=1e-9)
+    assert res.r_pinv == pytest.approx(want, rel=1e-9)
+    assert res.discrepancy <= 1e-9 * res.r_pinv
+    assert elapsed < 1.0, f"one pair on C_{n} took {elapsed:.2f} s"
+
+
+def test_genus_floor_sets_up_each_graph_once(monkeypatch):
+    calls = {"laplacian": 0, "_ldl": 0}
+
+    def counted(name):
+        original = getattr(resistance_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(resistance_module, name, counted(name))
+    out = resistance_genus_floor(gen_sphere(2))
+    assert out["pairs_sampled"] == 300
+    assert calls == {"laplacian": 1, "_ldl": 1}
 
 
 def test_resistance_accepts_rotation_graphs():
