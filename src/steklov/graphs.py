@@ -9,17 +9,22 @@ face tracing.
 Vertex ids are dense and 0-based throughout.  Both types are immutable;
 construct them through :func:`build_boundary_graph` /
 :func:`build_rotation_graph`, which normalise and validate.
+
+What does not depend on the boundary (components, faces, the dart-to-face
+index) is computed once per graph, cached on it and carried to the copies
+:func:`with_boundary` makes; :func:`build_rotation_graph` traces the faces.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from .errors import (
     Disconnected,
@@ -72,13 +77,17 @@ class BoundaryGraph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """(count, labels) of the connected components, labels read-only."""
+        ea = self.edge_array
+        adj = scipy.sparse.coo_matrix((np.ones(len(ea)), ea.T), shape=(self.n, self.n))
+        count, labels = scipy.sparse.csgraph.connected_components(adj, directed=False)
+        labels.flags.writeable = False
+        return int(count), labels
 
     @property
     def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
         return int(self.degrees.max(initial=0))
 
 
@@ -103,6 +112,35 @@ class RotationGraph:
             d = len(ring)
             out.append({ring[i]: ring[(i + 1) % d] for i in range(d)})
         return tuple(out)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Face walks of the embedding, traced once (see :func:`trace_faces`)."""
+        succ = self.successor
+        visited: set[tuple[int, int]] = set()
+        faces: list[tuple[int, ...]] = []
+        for u in range(self.n):
+            for v in self.rotation[u]:
+                if (u, v) in visited:
+                    continue
+                walk = []
+                cur = (u, v)
+                while cur not in visited:
+                    visited.add(cur)
+                    walk.append(cur[0])
+                    a, b = cur
+                    cur = (b, succ[b][a])
+                faces.append(tuple(walk))
+        return tuple(faces)
+
+    @cached_property
+    def dart_face(self) -> Mapping[tuple[int, int], int]:
+        """Read-only map from each dart (u, v) to the index of its face."""
+        return MappingProxyType({(f[i], f[(i + 1) % len(f)]): fi
+                                 for fi, f in enumerate(self.faces) for i in range(len(f))})
+
+    def __getstate__(self):  # a read-only view does not pickle; it is rebuilt on demand
+        return {k: v for k, v in self.__dict__.items() if k != "dart_face"}
 
     # Convenience pass-throughs.
     @property
@@ -182,14 +220,22 @@ def _canonical_boundary(boundary: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted(bset))
 
 
+_CARRIED = ("neighbors", "edge_set", "edge_array", "degrees", "components",
+            "successor", "faces", "dart_face")
+
+
 def with_boundary(g, boundary: Iterable[int]):
     """Return a copy of a BoundaryGraph or RotationGraph with a new boundary.
 
     The edges of ``g`` are canonical already; only the boundary is validated.
+    The caches named in ``_CARRIED`` carry over; ``interior`` is re-derived.
     """
     base = g.base if isinstance(g, RotationGraph) else g
     new_base = replace(base, boundary=_canonical_boundary(boundary, base.n))
-    return replace(g, base=new_base) if isinstance(g, RotationGraph) else new_base
+    out = replace(g, base=new_base) if isinstance(g, RotationGraph) else new_base
+    for old, new in ((base, new_base), (g, out)):
+        new.__dict__.update((k, v) for k, v in old.__dict__.items() if k in _CARRIED)
+    return out
 
 
 def build_rotation_graph(g: BoundaryGraph, rotation: Iterable[Iterable[int]]) -> RotationGraph:
@@ -210,7 +256,7 @@ def build_rotation_graph(g: BoundaryGraph, rotation: Iterable[Iterable[int]]) ->
             )
     rg = RotationGraph(base=g, rotation=rot)
     # Orientable maps always have even Euler characteristic; cheap sanity net.
-    chi = g.n - len(g.edges) + len(trace_faces(rg))
+    chi = g.n - len(g.edges) + len(rg.faces)
     if chi % 2 != 0:
         raise MalformedRotation(f"face trace gave odd Euler characteristic {chi}")
     return rg
@@ -241,40 +287,14 @@ def trace_faces(rg: RotationGraph) -> tuple[tuple[int, ...], ...]:
     reported as the cyclic vertex sequence ``(w0, w1, ..., w_{L-1})`` whose
     directed edges are ``(w_i, w_{i+1 mod L})``.  Order of faces is
     deterministic (first unvisited dart in vertex/rotation order).
+    Returns ``rg.faces``: one trace per graph, carried by :func:`with_boundary`.
     """
-    succ = rg.successor
-    visited: set[tuple[int, int]] = set()
-    faces: list[tuple[int, ...]] = []
-    for u in range(rg.n):
-        for v in rg.rotation[u]:
-            if (u, v) in visited:
-                continue
-            walk = []
-            cur = (u, v)
-            while cur not in visited:
-                visited.add(cur)
-                walk.append(cur[0])
-                a, b = cur
-                cur = (b, succ[b][a])
-            faces.append(tuple(walk))
-    return tuple(faces)
+    return rg.faces
 
 
 def is_connected(g: BoundaryGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = np.zeros(g.n, dtype=bool)
-    q = deque([0])
-    seen[0] = True
-    count = 1
-    while q:
-        x = q.popleft()
-        for y in g.neighbors[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                q.append(y)
-    return count == g.n
+    """True when g has one connected component (see ``g.components``)."""
+    return g.components[0] <= 1
 
 
 def genus(rg: RotationGraph) -> int:
@@ -286,15 +306,9 @@ def genus(rg: RotationGraph) -> int:
     """
     if not is_connected(rg.base):
         raise Disconnected("genus is only defined for connected graphs")
-    return _euler_genus(rg)
-
-
-def _euler_genus(rg: RotationGraph) -> int:
-    """Genus of a map already known to be connected: V - E + F = 2 - 2g,
-    with chi even for orientable maps and <= 2 when connected."""
-    return (2 - rg.n + len(rg.edges) - len(trace_faces(rg))) // 2
+    return (2 - rg.n + len(rg.edges) - len(rg.faces)) // 2
 
 
 def is_fully_triangulated(rg: RotationGraph) -> bool:
     """True when every face of the embedding is a triangle."""
-    return all(len(f) == 3 for f in trace_faces(rg))
+    return all(len(f) == 3 for f in rg.faces)

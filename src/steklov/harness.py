@@ -37,7 +37,6 @@ from .graphs import (
     build_boundary_graph,
     build_rotation_graph,
     is_connected,
-    trace_faces,
     with_boundary,
 )
 from .refine import _clip_face, hex_subdivide
@@ -315,11 +314,10 @@ def _add_handle(rg: RotationGraph) -> RotationGraph:
     Admissible means vertex-disjoint with no edges between the two
     triangles, so the retriangulation of the merged walk has room for its
     chords.  The scan order is deterministic.  A candidate is accepted
-    when one trace shows it connected, all triangles and one genus up.
+    when it is connected, all triangles and one genus up.
     """
-    faces = trace_faces(rg)
-    chi = rg.n - len(rg.edges) + len(faces) - 2  # Euler characteristic one genus up
-    faces = [f for f in faces if len(f) == 3]
+    chi = rg.n - len(rg.edges) + len(rg.faces) - 2  # Euler characteristic one genus up
+    faces = [f for f in rg.faces if len(f) == 3]
     eset = rg.base.edge_set
     for ia in range(len(faces)):
         fa = faces[ia]
@@ -336,9 +334,8 @@ def _add_handle(rg: RotationGraph) -> RotationGraph:
                         out = _attach_handle(rg, fa[ra:] + fa[:ra], fb[rb:] + fb[:rb])
                     except (NonCycleFace, DuplicateEdge, MalformedRotation):
                         continue
-                    out_faces = trace_faces(out)
-                    if (out.n - len(out.edges) + len(out_faces) == chi
-                            and all(len(f) == 3 for f in out_faces)
+                    if (out.n - len(out.edges) + len(out.faces) == chi
+                            and all(len(f) == 3 for f in out.faces)
                             and is_connected(out.base)):
                         return out
     raise TooSmall("no face pair is far enough apart to attach a handle; "
@@ -395,7 +392,7 @@ def _policy_boundary(rg: RotationGraph, policy: str) -> list[int]:
     if policy == "all-vertices":
         return list(range(rg.n))
     if policy == "single-face":
-        return sorted(set(trace_faces(rg)[0]))
+        return sorted(set(rg.faces[0]))
     if policy.startswith("random-fraction:"):
         parts = policy.split(":")
         if len(parts) != 3:

@@ -14,6 +14,7 @@ by two adjacent subdivided triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 from .errors import (
     BoundaryMismatch,
@@ -126,21 +127,17 @@ class _Charts:
     lats: tuple             # face index -> {(a, b): refined vertex id}
     inv: list               # face index -> {refined vertex id: (a, b)}
     ids: list               # face index -> sorted refined vertex ids
-    dart_face: dict         # source dart (a, b) -> face index
+    dart_face: Mapping      # source dart (a, b) -> face index
     faces_at: list          # source vertex -> face indices in rotation order
 
 
 def _build_charts(refined: RefinedGraph) -> _Charts:
     faces = refined.source_faces
     lats = refined.face_lattices
-    dart_face: dict[tuple[int, int], int] = {}
-    for fi, walk in enumerate(faces):
-        m = len(walk)
-        for i in range(m):
-            dart_face[(walk[i], walk[(i + 1) % m])] = fi
     src = refined.source
+    # src.dart_face indexes source_faces: both are src.faces.
     faces_at = [
-        [dart_face[(v, w)] for w in src.rotation[v]] for v in range(src.n)
+        [src.dart_face[(v, w)] for w in src.rotation[v]] for v in range(src.n)
     ]
     return _Charts(
         r=refined.resolution,
@@ -148,7 +145,7 @@ def _build_charts(refined: RefinedGraph) -> _Charts:
         lats=lats,
         inv=[{vid: key for key, vid in lat.items()} for lat in lats],
         ids=[sorted(lat.values()) for lat in lats],
-        dart_face=dart_face,
+        dart_face=src.dart_face,
         faces_at=faces_at,
     )
 

@@ -30,7 +30,7 @@ from .errors import (
     NotTriangulated,
     TooSmall,
 )
-from .graphs import RotationGraph, is_connected, trace_faces, with_boundary
+from .graphs import RotationGraph, is_connected, with_boundary
 from .spectrum import lambda_k, vector_rayleigh_bound
 
 # Newton converges quadratically, so it is run to near roundoff rather than
@@ -90,7 +90,7 @@ def circle_pack(rg: RotationGraph) -> CirclePacking:
     """
     if not is_connected(rg.base):
         raise Disconnected("circle packing needs a connected graph")
-    faces = trace_faces(rg)
+    faces = rg.faces
     if rg.n - len(rg.edges) + len(faces) != 2:
         raise NonzeroGenus("circle packing is only computed for genus-0 embeddings")
     if rg.n < 4:
@@ -162,7 +162,7 @@ def circle_pack(rg: RotationGraph) -> CirclePacking:
             )
         residual = err
 
-    centers = _layout(rg, faces, outer_pos, radii)
+    centers = _layout(rg, outer_pos, radii)
     return CirclePacking(
         radii=radii,
         centers=centers,
@@ -172,7 +172,7 @@ def circle_pack(rg: RotationGraph) -> CirclePacking:
     )
 
 
-def _layout(rg: RotationGraph, faces, outer_pos: int, radii) -> np.ndarray:
+def _layout(rg: RotationGraph, outer_pos: int, radii) -> np.ndarray:
     """Breadth-first placement of centers over the faces inside the outer one.
 
     Each face is laid out in its traced cyclic order with the same turning
@@ -180,12 +180,7 @@ def _layout(rg: RotationGraph, faces, outer_pos: int, radii) -> np.ndarray:
     edge; the angle sums being 2*pi makes the placements globally
     consistent.
     """
-    dart_face: dict[tuple[int, int], int] = {}
-    for fi, f in enumerate(faces):
-        m = len(f)
-        for i in range(m):
-            dart_face[(f[i], f[(i + 1) % m])] = fi
-
+    faces, dart_face = rg.faces, rg.dart_face
     outer = faces[outer_pos]
     seed = None
     for i in range(len(outer)):

@@ -21,7 +21,6 @@ from .graphs import (
     _check_int,
     build_boundary_graph,
     build_rotation_graph,
-    trace_faces,
     with_boundary,
 )
 
@@ -41,7 +40,7 @@ def fully_triangulate(rg: RotationGraph) -> RotationGraph:
     edge_set = set(rg.base.edge_set)
     all_edges = list(rg.base.edges)
 
-    for face in trace_faces(rg):
+    for face in rg.faces:
         if len(face) < 3:
             raise NonCycleFace(
                 f"face {face} has length {len(face)} and cannot be triangulated"
@@ -52,7 +51,7 @@ def fully_triangulate(rg: RotationGraph) -> RotationGraph:
     out = build_rotation_graph(
         build_boundary_graph(rg.n, all_edges, rg.boundary), rot
     )
-    leftover = [f for f in trace_faces(out) if len(f) != 3]
+    leftover = [f for f in out.faces if len(f) != 3]
     if leftover:  # pragma: no cover - guarded by the clipping loop
         raise NonCycleFace(f"face {leftover[0]} survived triangulation")
     return out
@@ -123,7 +122,7 @@ def _clip_at(walk, i, rot, edge_set, all_edges):
 
 def _hex_subdivide_mapped(rg: RotationGraph):
     """One subdivision step; also returns the edge -> midpoint-id map."""
-    faces = trace_faces(rg)
+    faces = rg.faces
     if any(len(f) != 3 for f in faces):
         raise NotTriangulated("hexagon subdivision requires every face to be a triangle")
     n = rg.n
@@ -240,7 +239,7 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
     if boundary is None:
         boundary = rg.boundary
     k = _check_int(k, "refinement level", 0)
-    faces = trace_faces(rg)  # with_boundary keeps the rotation, hence the faces
+    faces = rg.faces  # with_boundary carries them to src
     if any(len(f) != 3 for f in faces):
         raise NotTriangulated("refinement requires a fully triangulated input")
     src = with_boundary(rg, boundary)

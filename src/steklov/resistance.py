@@ -17,15 +17,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse.csgraph
 
 from .errors import ConvergenceFailure, Disconnected, SameVertex, TooSmall
 from .graphs import (
     RotationGraph,
     _check_int,
     _check_vertex,
-    _euler_genus,
     _seeded_rng,
+    genus,
     laplacian,
 )
 from .spectrum import _lambda_k, _ldl
@@ -49,11 +48,11 @@ class ResistanceResult:
 
 
 def _network(base):
-    """The per-graph work: the Laplacian, checked connected once, and one
+    """The per-graph work: the connectivity check, the Laplacian and one
     factorization of the grounded Laplacian L[1:, 1:]."""
-    L = laplacian(base)
-    if scipy.sparse.csgraph.connected_components(L, directed=False)[0] > 1:
+    if base.components[0] > 1:
         raise Disconnected("effective resistance is defined on connected graphs")
+    L = laplacian(base)
     return L, _ldl(L[1:, 1:])
 
 
@@ -108,7 +107,7 @@ def resistance_genus_floor(rg: RotationGraph, max_pairs: int = 300) -> dict:
     if base.n < 2:
         raise TooSmall("need at least two vertices to measure a resistance")
     L, grounded = _network(base)
-    g = _euler_genus(rg)
+    g = genus(rg)
     pairs = list(combinations(range(base.n), 2))
     if len(pairs) > max_pairs:
         chosen = _seeded_rng(0).choice(len(pairs), size=max_pairs, replace=False)

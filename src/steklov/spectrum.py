@@ -10,11 +10,11 @@ Its eigenvalues 0 = l_1 <= l_2 <= ... <= l_{|B|} are the Steklov
 eigenvalues of the pair (G, B); eigenvectors extend harmonically into the
 interior.  When B is all of V there is no interior block and S = L.
 
-Two routes share the CSR Laplacian of :func:`graphs.laplacian`:
+Both routes read the graph's cached components and its CSR Laplacian:
 
 * ``dtn_matrix`` and ``steklov_spectrum`` return output dense in |B|, so
-  they build S itself: one sparse LU factorization of L_II (SuperLU via
-  ``scipy.sparse.linalg.splu``) solves for every boundary column, L_BI
+  they build S itself: one factorization of L_II, by the symmetric SuperLU
+  set-up ``lambda_k`` uses, solves for every boundary column, L_BI
   multiplies the solution as a sparse matrix, and S is eigensolved densely.
   Their arrays grow like |B|^2, so a boundary too large for them is
   refused with a ``ValidationError`` before anything dense is allocated.
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import (
@@ -100,13 +99,13 @@ def _base(g) -> BoundaryGraph:
     return g.base if isinstance(g, RotationGraph) else g
 
 
-def _check_interior_reaches_boundary(g: BoundaryGraph, L) -> int:
+def _check_interior_reaches_boundary(g: BoundaryGraph) -> int:
     """Every component must contain a boundary vertex, else L_II is singular.
 
     Returns the number of components, which is then the multiplicity of the
     Steklov eigenvalue 0.
     """
-    ncomp, label = scipy.sparse.csgraph.connected_components(L, directed=False)
+    ncomp, label = g.components
     has_boundary = np.zeros(ncomp, dtype=bool)
     has_boundary[label[list(g.boundary)]] = True
     stranded = np.flatnonzero(~has_boundary[label])
@@ -142,15 +141,15 @@ def _schur_with_extension(g: BoundaryGraph):
     """
     nb = len(g.boundary)
     _check_dense_size(g.n, nb)
+    ncomp = _check_interior_reaches_boundary(g)
     L = laplacian(g)
-    ncomp = _check_interior_reaches_boundary(g, L)
     order = list(g.boundary) + list(g.interior)
     P = L[order][:, order]  # boundary first: the blocks are contiguous slices
     L_bb = P[:nb, :nb].toarray()
     if nb == g.n:
         return L_bb, np.zeros((0, nb)), ncomp, P
     L_ib = P[nb:, :nb]
-    X = scipy.sparse.linalg.splu(P[nb:, nb:].tocsc()).solve(L_ib.toarray())
+    X = _ldl(P[nb:, nb:]).solve(L_ib.toarray())
     S = L_bb - L_ib.T @ X
     S = 0.5 * (S + S.T)
     return S, X, ncomp, None
@@ -322,9 +321,8 @@ def lambda_k(g, k: int) -> float:
     """
     base = _base(g)
     k = _check_int(k, "k", 1, len(base.boundary) + 1, IndexOutOfRange)
-    L = laplacian(base)
-    ncomp = _check_interior_reaches_boundary(base, L)
-    return _lambda_k(L, np.asarray(base.boundary), ncomp, k)
+    ncomp = _check_interior_reaches_boundary(base)
+    return _lambda_k(laplacian(base), np.asarray(base.boundary), ncomp, k)
 
 
 def _lambda_k(L, bidx: np.ndarray, ncomp: int, k: int) -> float:

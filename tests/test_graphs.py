@@ -1,5 +1,8 @@
 """Graph construction, validation, face tracing, and genus."""
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -10,18 +13,26 @@ from steklov import (
     EmptyBoundary,
     IndexOutOfRange,
     MalformedRotation,
+    RotationGraph,
     SelfLoop,
+    SingularInterior,
     build_boundary_graph,
     build_rotation_graph,
+    certify_planar_bound,
+    chain_bound,
+    gen_sphere,
     genus,
     is_connected,
     is_fully_triangulated,
+    lambda_k,
     laplacian,
+    octahedron,
+    sweep_main_bound,
     trace_faces,
     with_boundary,
 )
 
-from helpers import dense_laplacian
+from helpers import dense_laplacian, spectrum_oracle
 
 
 def k4():
@@ -159,3 +170,80 @@ def test_single_edge_embeds_in_sphere():
     rg = build_rotation_graph(g, [[1], [0]])
     assert genus(rg) == 0
     assert len(trace_faces(rg)) == 1
+
+
+def _half_sphere_certificate():
+    rg = gen_sphere(2)
+    return certify_planar_bound(rg, range(rg.n // 2))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: gen_sphere(3),
+    lambda: sweep_main_bound(3, 10),
+    lambda: chain_bound(octahedron(), None, 2),
+    _half_sphere_certificate,
+], ids=["gen_sphere", "sweep", "chain_bound", "certify_planar"])
+def test_faces_are_walked_once_per_build(run, monkeypatch):
+    # Every build traces its faces once, in the Euler-parity check; nothing
+    # else walks them again, with_boundary copies included.
+    calls = {"walk": 0, "build": 0}
+    walk = RotationGraph.__dict__["faces"]
+    original_walk = walk.func
+
+    def counted_walk(rg):
+        calls["walk"] += 1
+        return original_walk(rg)
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build_rotation_graph(*args, **kwargs)
+
+    monkeypatch.setattr(walk, "func", counted_walk)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "steklov" and \
+                getattr(module, "build_rotation_graph", None) is build_rotation_graph:
+            monkeypatch.setattr(module, "build_rotation_graph", counted_build)
+    run()
+    assert calls["build"] > 0
+    assert calls["walk"] == calls["build"]
+
+
+def test_trace_faces_reads_the_build_trace():
+    rg = k4_rotation()
+    assert trace_faces(rg) is rg.faces
+    assert dict(rg.dart_face) == {
+        (f[i], f[(i + 1) % len(f)]): fi for fi, f in enumerate(rg.faces)
+        for i in range(len(f))}
+    with pytest.raises(TypeError):
+        rg.dart_face[(0, 1)] = 0
+    # the read-only view is dropped from the pickle and rebuilt on demand
+    copy = pickle.loads(pickle.dumps(rg))
+    assert copy == rg and copy.faces == rg.faces and copy.dart_face == rg.dart_face
+
+
+def test_with_boundary_carries_boundary_free_caches():
+    g = gen_sphere(1)
+    assert g.base.interior == ()
+    faces, darts = g.faces, g.dart_face
+    assert is_connected(g.base)
+    other = list(range(0, g.n, 3))
+    h = with_boundary(g, other)
+    assert h.base.interior == tuple(v for v in range(g.n) if v % 3)
+    assert h.faces is faces
+    assert h.dart_face is darts
+    assert h.base.components is g.base.components
+    expected = spectrum_oracle(g.n, g.edges, other)[1]
+    assert lambda_k(h, 2) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    # two disjoint octahedra: a boundary that misses the second component
+    # still leaves L_II singular after the components were cached
+    octa = octahedron()
+    edges = list(octa.edges) + [(u + 6, v + 6) for u, v in octa.edges]
+    rotation = list(octa.rotation) + [[w + 6 for w in r] for r in octa.rotation]
+    g = build_rotation_graph(build_boundary_graph(12, edges, range(12)), rotation)
+    assert not is_connected(g.base)
+    assert g.base.interior == ()
+    h = with_boundary(g, range(6))
+    assert h.base.components is g.base.components
+    with pytest.raises(SingularInterior, match="vertex 6 "):
+        lambda_k(h, 2)

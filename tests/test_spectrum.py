@@ -34,6 +34,7 @@ from steklov import (
     vector_rayleigh_bound,
 )
 
+import steklov.spectrum as spectrum_module
 from steklov.spectrum import _check_dense_size
 
 from helpers import (dtn_oracle, random_boundary, random_connected_graph,
@@ -337,3 +338,26 @@ def test_eigensolve_residual_is_checked(step, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
     with pytest.raises(ConvergenceFailure, match="residual"):
         steklov_spectrum(g)
+
+
+@pytest.mark.parametrize("step,factorizations", [(1, 0), (2, 1)],
+                         ids=["full", "partial"])
+def test_schur_route_factors_through_ldl(step, factorizations, monkeypatch):
+    # L_II takes the package's one symmetric factorization, once per call;
+    # with full boundary there is no interior block to factor.
+    rg = gen_sphere(1)
+    g = build_boundary_graph(rg.n, rg.edges, range(0, rg.n, step))
+    calls = {"_ldl": 0}
+    original = spectrum_module._ldl
+
+    def counted(*args, **kwargs):
+        calls["_ldl"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "_ldl", counted)
+    S = dtn_matrix(g).matrix
+    assert calls == {"_ldl": factorizations}
+    w = steklov_spectrum(g).eigenvalues
+    assert calls == {"_ldl": 2 * factorizations}
+    np.testing.assert_allclose(S, dtn_oracle(g.n, g.edges, g.boundary), atol=1e-9)
+    np.testing.assert_allclose(w, spectrum_oracle(g.n, g.edges, g.boundary), atol=1e-9)
