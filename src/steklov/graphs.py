@@ -8,19 +8,33 @@ face tracing.
 
 Vertex ids are dense and 0-based throughout.  Both types are immutable;
 construct them through :func:`build_boundary_graph` /
-:func:`build_rotation_graph`, which normalise and validate.
+:func:`build_rotation_graph`, which normalise and validate on NumPy index
+arrays: the edges as one (E, 2) int64 array, checked and put in canonical
+order with one sort, and the rotation as one flat array of its rings,
+checked against the neighbour CSR with one sort.  On bad input only the
+first offending element, in input order, goes through the scalar rule
+(:func:`_check_int`) that words the error.
 
-What does not depend on the boundary (components, faces, the dart-to-face
-index) is computed once per graph, cached on it and carried to the copies
-:func:`with_boundary` makes; :func:`build_rotation_graph` traces the faces.
+Darts are laid out in CSR order over ``rotation``: dart ``d`` is the d-th
+entry of the concatenated rings, so the darts of ``v`` are ``(v, w)`` for
+``w`` in ``rotation[v]``, in that order.  :class:`_Darts` holds the
+per-dart arrays of that layout (edge index, reverse dart, face successor)
+and is the only description of it.
+
+What does not depend on the boundary (components, the neighbour CSR, the
+dart arrays, faces, the dart-to-face index) is computed once per graph,
+cached on it and carried to the copies :func:`with_boundary` makes;
+:func:`build_rotation_graph` traces the faces.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -51,11 +65,8 @@ class BoundaryGraph:
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        indptr, indices, _ = self._adjacency
+        return _rings(indices, indptr)
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -68,10 +79,8 @@ class BoundaryGraph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) int array (empty graphs give shape (0, 2))."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
+        """Edges as a read-only (E, 2) int64 array (shape (0, 2) when empty)."""
+        return _frozen(np.array(self.edges, dtype=np.int64).reshape(-1, 2))[0]
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -86,9 +95,37 @@ class BoundaryGraph:
         labels.flags.writeable = False
         return int(count), labels
 
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbour CSR ``(indptr, indices, edge)``: row v lists the
+        neighbours of v in ascending order, and ``edge[p]`` is the index in
+        ``edges`` of the edge behind entry p."""
+        ea = self.edge_array
+        # Darts (hi, lo) then (lo, hi).  Canonical edges are sorted by
+        # (lo, hi), so a stable sort by tail leaves every row ascending.
+        order = np.argsort(np.concatenate((ea[:, 1], ea[:, 0])), kind="stable")
+        indices = np.concatenate((ea[:, 0], ea[:, 1]))[order]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=indptr[1:])
+        return _frozen(indptr, indices, order % max(len(ea), 1))
+
     @property
     def max_degree(self) -> int:
         return int(self.degrees.max(initial=0))
+
+
+class _Darts(NamedTuple):
+    """Per-dart arrays of a rotation graph, in CSR order over ``rotation``.
+
+    Dart ``d`` in ``offsets[v] .. offsets[v + 1] - 1`` is ``(v, w)`` with
+    ``w = rotation[v][d - offsets[v]]``.
+    """
+
+    offsets: np.ndarray  # (n + 1,) ring starts
+    edge: np.ndarray     # index in ``edges`` of the dart's edge
+    rev: np.ndarray      # the reverse dart (w, v)
+    next: np.ndarray     # the dart after d on its face
+    along: np.ndarray    # (E,) the dart (u, v) of each edge (u, v), u < v
 
 
 @dataclass(frozen=True)
@@ -104,40 +141,39 @@ class RotationGraph:
     rotation: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def successor(self) -> tuple[dict[int, int], ...]:
-        """Per-vertex map: neighbour w -> next neighbour after w in the
-        cyclic order."""
-        out = []
-        for ring in self.rotation:
-            d = len(ring)
-            out.append({ring[i]: ring[(i + 1) % d] for i in range(d)})
-        return tuple(out)
+    def _darts(self) -> _Darts:
+        """Dart layout of ``rotation`` (built by :func:`build_rotation_graph`)."""
+        return _dart_layout(self.base, *_flatten(self.rotation))
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Face walks of the embedding, traced once (see :func:`trace_faces`)."""
-        succ = self.successor
-        visited: set[tuple[int, int]] = set()
+        darts = self._darts
+        heads = list(chain.from_iterable(self.rotation))
+        tails = list(map(heads.__getitem__, darts.rev.tolist()))
+        nxt = darts.next.tolist()
+        seen = bytearray(len(nxt))
         faces: list[tuple[int, ...]] = []
-        for u in range(self.n):
-            for v in self.rotation[u]:
-                if (u, v) in visited:
-                    continue
-                walk = []
-                cur = (u, v)
-                while cur not in visited:
-                    visited.add(cur)
-                    walk.append(cur[0])
-                    a, b = cur
-                    cur = (b, succ[b][a])
-                faces.append(tuple(walk))
+        for start in range(len(nxt)):
+            if seen[start]:
+                continue
+            walk = []
+            d = start
+            while not seen[d]:
+                seen[d] = 1
+                walk.append(tails[d])
+                d = nxt[d]
+            faces.append(tuple(walk))
         return tuple(faces)
 
     @cached_property
     def dart_face(self) -> Mapping[tuple[int, int], int]:
         """Read-only map from each dart (u, v) to the index of its face."""
-        return MappingProxyType({(f[i], f[(i + 1) % len(f)]): fi
-                                 for fi, f in enumerate(self.faces) for i in range(len(f))})
+        faces = self.faces
+        darts = zip(chain.from_iterable(faces),
+                    chain.from_iterable(f[1:] + f[:1] for f in faces))
+        index = chain.from_iterable(repeat(i, len(f)) for i, f in enumerate(faces))
+        return MappingProxyType(dict(zip(darts, index)))
 
     def __getstate__(self):  # a read-only view does not pickle; it is rebuilt on demand
         return {k: v for k, v in self.__dict__.items() if k != "dart_face"}
@@ -173,55 +209,138 @@ def _check_vertex(x, n: int, what: str) -> int:
     return _check_int(x, what, 0, n, IndexOutOfRange)
 
 
+def _vertex_array(items: list, n: int) -> tuple[np.ndarray, int]:
+    """``items`` as an int64 array, and the index of the first item that
+    :func:`_check_int` refuses as a vertex of ``[0, n)`` (``len(items)``
+    when none does).  The array is only meaningful before that index."""
+    bad = {t for t in set(map(type, items))
+           if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
+    stop = list(map(bad.__contains__, map(type, items))).index(True) if bad else len(items)
+    values = _int64(items[:stop])
+    out = np.flatnonzero((values < 0) | (values >= n))
+    return values, int(out[0]) if out.size else stop
+
+
+def _int64(items: list) -> np.ndarray:
+    """Integers as an int64 array; one outside int64 becomes -1, which is
+    outside every vertex range just as it was."""
+    try:
+        return np.array(items, dtype=np.int64)
+    except OverflowError:
+        return np.array([x if -2**63 <= x < 2**63 else -1 for x in items], dtype=np.int64)
+
+
+def _sorted_rows(pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Stable lexicographic order of the rows of an (R, 2) array, and the
+    input index of the first row equal to an earlier one (R if none)."""
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ranked = pairs[order]
+    repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
+    return order, int(repeats.min()) if repeats.size else len(pairs)
+
+
+def _objects(values: np.ndarray, pool: dict) -> list:
+    """``values`` as Python ints, one object per distinct value across every
+    call sharing ``pool`` (``tolist()`` alone makes one per entry)."""
+    vals = values.tolist()
+    return list(map(pool.setdefault, vals, vals))
+
+
+def _rings(flat: np.ndarray, offsets: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Rings ``flat[offsets[v]:offsets[v + 1]]`` as tuples of Python ints."""
+    objs = _objects(flat, {})
+    bounds = offsets.tolist()
+    return tuple(tuple(objs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached arrays read-only: with_boundary shares them between copies."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _seeded_rng(seed) -> np.random.Generator:
     """The package's one seeded random stream, keyed by 0 <= seed < 2**64."""
     return np.random.Generator(np.random.Philox(_check_int(seed, "seed", 0, 2**64)))
 
 
+def _check_edge(e, n: int) -> tuple[int, int]:
+    """The scalar rule for one edge; words the error for the first offender."""
+    if len(e) != 2:
+        raise SelfLoop(f"edge {e!r}: expected exactly two endpoints")
+    u = _check_vertex(e[0], n, f"edge {tuple(e)!r}")
+    v = _check_vertex(e[1], n, f"edge {tuple(e)!r}")
+    if u == v:
+        raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
+    return u, v
+
+
+def _edge_rows(edges, n: int) -> tuple[Sequence, np.ndarray]:
+    """The edges as given, and as an (R, 2) int64 array of the rows before
+    the first one with the wrong length, a non-integer or a vertex outside
+    ``[0, n)`` (all rows when there is none)."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" \
+            and edges.ndim == 2 and edges.shape[1] == 2:
+        pairs = edges.astype(np.int64)
+        out = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        return edges, pairs[: out[0] if out.size else len(pairs)]
+    rows = edges if isinstance(edges, (list, tuple)) else list(edges)
+    lens: list[int] = []
+    with suppress(TypeError):  # rows[len(lens)] has no length
+        lens.extend(map(len, rows))
+    short = np.flatnonzero(np.array(lens) != 2)
+    stop = int(short[0]) if short.size else len(lens)
+    ends, bad = _vertex_array(list(chain.from_iterable(rows[:stop])), n)
+    stop = min(stop, bad // 2)
+    return rows, ends[: 2 * stop].reshape(-1, 2)
+
+
 def build_boundary_graph(
     n: int,
-    edges: Iterable[Sequence[int]],
+    edges: Iterable[Sequence[int]] | np.ndarray,
     boundary: Iterable[int],
 ) -> BoundaryGraph:
     """Validate and canonicalise a boundary graph.
 
+    ``edges`` is an iterable of endpoint pairs or an (E, 2) integer array.
     Raises SelfLoop / DuplicateEdge / IndexOutOfRange / EmptyBoundary on bad
-    input.  Edges are stored with the smaller endpoint first, sorted;
-    the boundary is sorted with duplicates removed.
+    input, for the first offending edge in input order.  Edges are stored
+    with the smaller endpoint first, sorted; the boundary is sorted with
+    duplicates removed.
     """
     n = _check_int(n, "vertex count", 1, error=IndexOutOfRange)
-
-    canon: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for e in edges:
-        if len(e) != 2:
-            raise SelfLoop(f"edge {e!r}: expected exactly two endpoints")
-        u = _check_vertex(e[0], n, f"edge {tuple(e)!r}")
-        v = _check_vertex(e[1], n, f"edge {tuple(e)!r}")
-        if u == v:
-            raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdge(f"edge {key} listed more than once")
-        seen.add(key)
-        canon.append(key)
-    canon.sort()
-    return BoundaryGraph(
-        n=n, edges=tuple(canon), boundary=_canonical_boundary(boundary, n)
-    )
+    rows, pairs = _edge_rows(edges, n)
+    canon = np.sort(pairs, axis=1)
+    order, first = _sorted_rows(canon)
+    loops = np.flatnonzero(canon[:, 0] == canon[:, 1])
+    first = min(first, len(pairs), int(loops[0]) if loops.size else first)
+    if first < len(rows):
+        u, v = _check_edge(rows[first], n)  # raises unless the row is a repeat
+        raise DuplicateEdge(f"edge {(min(u, v), max(u, v))} listed more than once")
+    canon = canon[order]
+    pool: dict[int, int] = {}
+    ends = _objects(canon.ravel(), pool)
+    g = BoundaryGraph(n=n, edges=tuple(zip(ends[0::2], ends[1::2])),
+                      boundary=tuple(_objects(_canonical_boundary(boundary, n), pool)))
+    g.__dict__["edge_array"] = _frozen(canon)[0]
+    return g
 
 
-def _canonical_boundary(boundary: Iterable[int], n: int) -> tuple[int, ...]:
+def _canonical_boundary(boundary: Iterable[int], n: int) -> np.ndarray:
     """Validated boundary of an n-vertex graph: sorted, duplicate-free,
     non-empty."""
-    bset = {_check_vertex(b, n, "boundary") for b in boundary}
-    if not bset:
+    items = list(boundary)
+    values, stop = _vertex_array(items, n)
+    if stop < len(items):
+        _check_vertex(items[stop], n, "boundary")
+    if not items:
         raise EmptyBoundary("boundary vertex set must be non-empty")
-    return tuple(sorted(bset))
+    return np.unique(values)
 
 
 _CARRIED = ("neighbors", "edge_set", "edge_array", "degrees", "components",
-            "successor", "faces", "dart_face")
+            "_adjacency", "_darts", "faces", "dart_face")
 
 
 def with_boundary(g, boundary: Iterable[int]):
@@ -231,30 +350,72 @@ def with_boundary(g, boundary: Iterable[int]):
     The caches named in ``_CARRIED`` carry over; ``interior`` is re-derived.
     """
     base = g.base if isinstance(g, RotationGraph) else g
-    new_base = replace(base, boundary=_canonical_boundary(boundary, base.n))
+    new_base = replace(base, boundary=tuple(_canonical_boundary(boundary, base.n).tolist()))
     out = replace(g, base=new_base) if isinstance(g, RotationGraph) else new_base
     for old, new in ((base, new_base), (g, out)):
         new.__dict__.update((k, v) for k, v in old.__dict__.items() if k in _CARRIED)
     return out
 
 
-def build_rotation_graph(g: BoundaryGraph, rotation: Iterable[Iterable[int]]) -> RotationGraph:
+def _flatten(rings: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    lens = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+    return _int64(list(chain.from_iterable(rings))), lens
+
+
+def _dart_layout(g: BoundaryGraph, flat: np.ndarray, lens: np.ndarray) -> _Darts:
+    """Check that every ring of a rotation (``flat`` cut into pieces of
+    ``lens``) permutes the neighbours of its vertex, and lay out its darts."""
+    if len(lens) != g.n:
+        raise MalformedRotation(f"rotation has {len(lens)} rows, graph has {g.n} vertices")
+    indptr, indices, edge_of = g._adjacency
+    offsets = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    tail = np.repeat(np.arange(g.n), lens)
+    order = np.lexsort((flat, tail))  # every ring ascending, as in the CSR
+    short = np.flatnonzero(lens != np.diff(indptr))
+    stop = int(short[0]) if short.size else g.n
+    aligned = int(offsets[stop])  # the rings before ``stop`` have the CSR's lengths
+    wrong = np.flatnonzero(flat[order[:aligned]] != indices[:aligned])
+    if wrong.size:
+        stop = min(stop, int(tail[order[wrong[0]]]))
+    if stop < g.n:
+        raise MalformedRotation(
+            f"rotation at vertex {stop} is not a permutation of its neighbours")
+    # CSR entry p is dart order[p].
+    edge = np.empty_like(flat)
+    edge[order] = edge_of
+    up = tail < flat
+    along = np.empty(len(g.edges), dtype=np.int64)
+    along[edge[up]] = np.flatnonzero(up)
+    against = np.empty_like(along)
+    against[edge[~up]] = np.flatnonzero(~up)
+    rev = np.empty_like(flat)
+    rev[along] = against
+    rev[against] = along
+    # The dart after (u, v) on its face is (v, w), w following u in rotation[v].
+    turn = np.arange(1, len(flat) + 1)
+    full = lens > 0
+    turn[offsets[1:][full] - 1] = offsets[:-1][full]
+    return _Darts(*_frozen(offsets, edge, rev, turn[rev], along))
+
+
+def build_rotation_graph(g: BoundaryGraph,
+                         rotation: Iterable[Iterable[int]] | np.ndarray) -> RotationGraph:
     """Attach a rotation system to ``g`` after validating it.
 
     ``rotation[v]`` must be a permutation of the neighbours of ``v``
-    (MalformedRotation otherwise).
+    (MalformedRotation otherwise).  An (n, d) integer array gives every
+    vertex a ring of d neighbours.
     """
-    rot = tuple(tuple(int(w) for w in ring) for ring in rotation)
-    if len(rot) != g.n:
-        raise MalformedRotation(
-            f"rotation has {len(rot)} rows, graph has {g.n} vertices"
-        )
-    for v in range(g.n):
-        if tuple(sorted(rot[v])) != g.neighbors[v]:
-            raise MalformedRotation(
-                f"rotation at vertex {v} is not a permutation of its neighbours"
-            )
+    if isinstance(rotation, np.ndarray) and rotation.dtype.kind in "iu" and rotation.ndim == 2:
+        flat = rotation.astype(np.int64).ravel()
+        darts = _dart_layout(g, flat, np.full(len(rotation), rotation.shape[1]))
+        rot = _rings(flat, darts.offsets)
+    else:
+        rot = tuple(tuple(map(int, ring)) for ring in rotation)
+        darts = _dart_layout(g, *_flatten(rot))
     rg = RotationGraph(base=g, rotation=rot)
+    rg.__dict__["_darts"] = darts
     # Orientable maps always have even Euler characteristic; cheap sanity net.
     chi = g.n - len(g.edges) + len(rg.faces)
     if chi % 2 != 0:

@@ -18,6 +18,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .graphs import (
     RotationGraph,
     _check_int,
     _seeded_rng,
+    _sorted_rows,
+    _vertex_array,
     build_boundary_graph,
     build_rotation_graph,
     is_connected,
@@ -84,10 +87,24 @@ class GraphDocument:
     meta: dict | None = None
 
 
+def _first_not_list(rows: list, width: int | None = None) -> int:
+    """Index of the first entry that is not a list (of ``width`` entries,
+    when given); ``len(rows)`` when there is none."""
+    is_list = list(map(isinstance, rows, repeat(list)))
+    stop = is_list.index(False) if not all(is_list) else len(rows)
+    if width is not None:
+        lens = np.fromiter(map(len, rows[:stop]), dtype=np.int64, count=stop)
+        wrong = np.flatnonzero(lens != width)
+        stop = int(wrong[0]) if wrong.size else stop
+    return stop
+
+
 def parse_document(text: str) -> GraphDocument:
     """Parse and strictly validate the JSON graph format.
 
-    Every violation is reported with the offending position, e.g.
+    Edges, boundary and rotation rows are checked as arrays, with the
+    rules of :func:`build_boundary_graph`; the first violation in input
+    order is reported with its position, e.g.
     ``edges[4]: endpoints must satisfy u < v``.
     """
     try:
@@ -111,44 +128,49 @@ def parse_document(text: str) -> GraphDocument:
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise SchemaError("edges: expected a list")
-    edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(raw_edges):
+    stop = _first_not_list(raw_edges, 2)
+    ends, bad = _vertex_array(list(chain.from_iterable(raw_edges[:stop])), n)
+    pairs = ends[: 2 * min(stop, bad // 2)].reshape(-1, 2)
+    _, first = _sorted_rows(pairs)
+    unordered = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
+    first = min(first, len(pairs), int(unordered[0]) if unordered.size else first)
+    if first < len(raw_edges):  # word the first offender's error
+        e = raw_edges[first]
         if not isinstance(e, list) or len(e) != 2:
-            raise SchemaError(f"edges[{i}]: expected a pair [u, v]")
-        u = _check_int(e[0], f"edges[{i}][0]", 0, n, SchemaError)
-        v = _check_int(e[1], f"edges[{i}][1]", 0, n, SchemaError)
+            raise SchemaError(f"edges[{first}]: expected a pair [u, v]")
+        u = _check_int(e[0], f"edges[{first}][0]", 0, n, SchemaError)
+        v = _check_int(e[1], f"edges[{first}][1]", 0, n, SchemaError)
         if u >= v:
-            raise SchemaError(f"edges[{i}]: endpoints must satisfy u < v, got {e}")
-        if (u, v) in seen:
-            raise SchemaError(f"edges[{i}]: duplicate of edges[{seen[(u, v)]}]")
-        seen[(u, v)] = i
-        edges.append((u, v))
+            raise SchemaError(f"edges[{first}]: endpoints must satisfy u < v, got {e}")
+        j = int(np.flatnonzero((pairs == (u, v)).all(axis=1))[0])
+        raise SchemaError(f"edges[{first}]: duplicate of edges[{j}]")
 
     raw_boundary = obj["boundary"]
     if not isinstance(raw_boundary, list) or not raw_boundary:
         raise SchemaError("boundary: expected a non-empty list")
-    boundary: list[int] = []
-    for i, b in enumerate(raw_boundary):
-        b = _check_int(b, f"boundary[{i}]", 0, n, SchemaError)
-        if boundary and b <= boundary[-1]:
-            raise SchemaError(f"boundary[{i}]: entries must be strictly increasing")
-        boundary.append(b)
+    values, first = _vertex_array(raw_boundary, n)
+    values = values[:first]
+    falls = np.flatnonzero(values[1:] <= values[:-1])
+    first = int(falls[0]) + 1 if falls.size else first
+    if first < len(raw_boundary):
+        _check_int(raw_boundary[first], f"boundary[{first}]", 0, n, SchemaError)
+        raise SchemaError(f"boundary[{first}]: entries must be strictly increasing")
 
     rotation = None
     if "rotation" in obj and obj["rotation"] is not None:
         raw_rot = obj["rotation"]
         if not isinstance(raw_rot, list) or len(raw_rot) != n:
             raise SchemaError(f"rotation: expected a list of {n} neighbour rings")
-        rings = []
-        for v, ring in enumerate(raw_rot):
-            if not isinstance(ring, list):
-                raise SchemaError(f"rotation[{v}]: expected a list")
-            rings.append(tuple(
-                _check_int(w, f"rotation[{v}][{i}]", 0, n, SchemaError)
-                for i, w in enumerate(ring)
-            ))
-        rotation = tuple(rings)
+        stop = _first_not_list(raw_rot)
+        starts = np.cumsum([0, *map(len, raw_rot[:stop])])
+        _, bad = _vertex_array(list(chain.from_iterable(raw_rot[:stop])), n)
+        if bad < starts[-1]:
+            v = int(np.searchsorted(starts, bad, side="right")) - 1
+            i = bad - int(starts[v])
+            _check_int(raw_rot[v][i], f"rotation[{v}][{i}]", 0, n, SchemaError)
+        if stop < n:
+            raise SchemaError(f"rotation[{stop}]: expected a list")
+        rotation = tuple(map(tuple, raw_rot))
 
     meta = None
     if "meta" in obj and obj["meta"] is not None:
@@ -156,7 +178,8 @@ def parse_document(text: str) -> GraphDocument:
             raise SchemaError("meta: expected an object")
         meta = obj["meta"]
 
-    return GraphDocument(n=n, edges=tuple(edges), boundary=tuple(boundary),
+    return GraphDocument(n=n, edges=tuple(map(tuple, raw_edges)),
+                         boundary=tuple(raw_boundary),
                          rotation=rotation, meta=meta)
 
 
@@ -262,19 +285,18 @@ def gen_torus(n: int, m: int) -> RotationGraph:
         raise TooSmall(f"torus grid needs n, m >= 3, got ({n}, {m})")
     _enforce_cap(n * m, "torus grid")
 
-    def vid(i: int, j: int) -> int:
-        return (i % n) * m + (j % m)
+    i, j = np.divmod(np.arange(n * m), m)
 
-    edges = set()
-    rotation = []
-    for i in range(n):
-        for j in range(m):
-            ring = [vid(i, j + 1), vid(i - 1, j), vid(i - 1, j - 1),
-                    vid(i, j - 1), vid(i + 1, j), vid(i + 1, j + 1)]
-            rotation.append(ring)
-            for u in (ring[0], ring[4], ring[5]):
-                edges.add((min(vid(i, j), u), max(vid(i, j), u)))
-    g = build_boundary_graph(n * m, sorted(edges), range(n * m))
+    def vid(di: int, dj: int) -> np.ndarray:
+        return (i + di) % n * m + (j + dj) % m
+
+    # Ring of (i, j): right, up, up-left, left, down, down-right; the last
+    # two and the first are the edges it owns.
+    rotation = np.stack([vid(0, 1), vid(-1, 0), vid(-1, -1),
+                         vid(0, -1), vid(1, 0), vid(1, 1)], axis=1)
+    edges = np.stack([np.repeat(np.arange(n * m), 3),
+                      rotation[:, [0, 4, 5]].ravel()], axis=1)
+    g = build_boundary_graph(n * m, edges, range(n * m))
     return build_rotation_graph(g, rotation)
 
 

@@ -14,7 +14,6 @@ by two adjacent subdivided triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from .errors import (
     BoundaryMismatch,
@@ -123,30 +122,23 @@ class _Charts:
     """Per-call lookup tables for routing inside a RefinedGraph."""
 
     r: int
-    faces: tuple            # traced source faces (vertex triples)
+    source: RotationGraph   # its faces and dart_face index the lattices
     lats: tuple             # face index -> {(a, b): refined vertex id}
     inv: list               # face index -> {refined vertex id: (a, b)}
     ids: list               # face index -> sorted refined vertex ids
-    dart_face: Mapping      # source dart (a, b) -> face index
     faces_at: list          # source vertex -> face indices in rotation order
 
 
 def _build_charts(refined: RefinedGraph) -> _Charts:
-    faces = refined.source_faces
     lats = refined.face_lattices
     src = refined.source
-    # src.dart_face indexes source_faces: both are src.faces.
-    faces_at = [
-        [src.dart_face[(v, w)] for w in src.rotation[v]] for v in range(src.n)
-    ]
     return _Charts(
         r=refined.resolution,
-        faces=faces,
+        source=src,
         lats=lats,
         inv=[{vid: key for key, vid in lat.items()} for lat in lats],
         ids=[sorted(lat.values()) for lat in lats],
-        dart_face=src.dart_face,
-        faces_at=faces_at,
+        faces_at=[[src.dart_face[(v, w)] for w in src.rotation[v]] for v in range(src.n)],
     )
 
 
@@ -162,11 +154,11 @@ def _to_rhombus(vid, f, fp, p, q, ch: _Charts):
     r = ch.r
     key = ch.inv[f].get(vid)
     if key is not None:
-        s = ch.faces[f]
+        s = ch.source.faces[f]
         w = {s[0]: r - key[0] - key[1], s[1]: key[0], s[2]: key[1]}
         return w[p], w[q]
     key = ch.inv[fp][vid]
-    s = ch.faces[fp]
+    s = ch.source.faces[fp]
     w = {s[0]: r - key[0] - key[1], s[1]: key[0], s[2]: key[1]}
     return r - w[q], r - w[p]
 
@@ -174,13 +166,13 @@ def _to_rhombus(vid, f, fp, p, q, ch: _Charts):
 def _from_rhombus(x, y, f, fp, p, q, ch: _Charts):
     r = ch.r
     if x + y <= r:
-        s = ch.faces[f]
+        s = ch.source.faces[f]
         w = {p: x, q: y}
         for t in s:
             if t != p and t != q:
                 w[t] = r - x - y
         return ch.lats[f][(w[s[1]], w[s[2]])]
-    s = ch.faces[fp]
+    s = ch.source.faces[fp]
     w = {p: r - y, q: r - x}
     for t in s:
         if t != p and t != q:
@@ -196,11 +188,11 @@ def _route(a, b, f, fp, ch: _Charts, rng) -> list[int]:
     already share a row or column).
     """
     p = q = None
-    walk = ch.faces[f]
+    walk = ch.source.faces[f]
     m = len(walk)
     for i in range(m):
         c, d = walk[i], walk[(i + 1) % m]
-        if ch.dart_face.get((d, c)) == fp:
+        if ch.source.dart_face.get((d, c)) == fp:
             p, q = c, d
             break
     if p is None:
@@ -270,10 +262,10 @@ def _initial_path(v, rep, x, edge_faces, ch: _Charts, rng) -> list[int]:
 
     if len(fseq) == 1:
         f = fseq[0]
-        walk = ch.faces[f]
+        walk = ch.source.faces[f]
         m = len(walk)
         adj = sorted(
-            {ch.dart_face[(walk[(i + 1) % m], walk[i])] for i in range(m)} - {f}
+            {ch.source.dart_face[(walk[(i + 1) % m], walk[i])] for i in range(m)} - {f}
         )
         partner = adj[int(rng.integers(len(adj)))]
         return _route(pts[0], pts[1], f, partner, ch, rng)
@@ -343,7 +335,7 @@ def random_immersion(refined: RefinedGraph, seed: int) -> Immersion:
     fine_edges = refined.graph.base.edge_set
     raw_paths: dict[tuple[int, int], list[int]] = {}
     for u, v in src.edges:
-        f1, f2 = ch.dart_face[(u, v)], ch.dart_face[(v, u)]
+        f1, f2 = ch.source.dart_face[(u, v)], ch.source.dart_face[(v, u)]
         edge_faces = (f1, f2) if f1 <= f2 else (f2, f1)
         pool = sorted(set(ch.ids[edge_faces[0]]) | set(ch.ids[edge_faces[1]]))
         x = pool[int(rng.integers(len(pool)))]

@@ -14,11 +14,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import NonCycleFace, NotTriangulated
 from .graphs import (
     BoundaryGraph,
     RotationGraph,
     _check_int,
+    _rings,
     build_boundary_graph,
     build_rotation_graph,
     with_boundary,
@@ -125,34 +128,33 @@ def _hex_subdivide_mapped(rg: RotationGraph):
     faces = rg.faces
     if any(len(f) != 3 for f in faces):
         raise NotTriangulated("hexagon subdivision requires every face to be a triangle")
-    n = rg.n
-    edges = rg.base.edges
-    mid = {e: n + i for i, e in enumerate(edges)}
+    n, ea, darts = rg.n, rg.base.edge_array, rg._darts
+    mids = np.arange(n, n + len(ea))
+    m = n + darts.edge  # midpoint of each dart's edge
+    nxt = darts.next
+    # Each edge joins its endpoints to its midpoint; each face (x, y, z), in
+    # trace order from its first dart, gets the inner triangle on the
+    # midpoints of (x, y), (y, z) and (z, x).
+    d = np.arange(len(nxt))
+    first = np.flatnonzero((d < nxt) & (d < nxt[nxt]))
+    walk = np.stack((first, nxt[first], nxt[nxt[first]]), axis=1).ravel()
+    new_edges = np.concatenate((
+        np.stack((ea[:, 0], mids, ea[:, 1], mids), axis=1).reshape(-1, 2),
+        np.stack((m[walk], m[nxt[walk]]), axis=1)))
+    # Old vertices see the midpoints of their edges in rotation order.  The
+    # midpoint of (u, v) sees u, m(a, u), m(v, a), v, m(b, v), m(u, b), where
+    # a and b are the apexes of the faces carrying the darts (u, v) and (v, u).
+    fa = nxt[darts.along]
+    fb = nxt[darts.rev[darts.along]]
+    ring = np.stack((ea[:, 0], m[nxt[fa]], m[fa], ea[:, 1], m[nxt[fb]], m[fb]), axis=1)
+    offsets = np.concatenate((darts.offsets, darts.offsets[-1] + 6 * np.arange(1, len(ea) + 1)))
+    rotation = _rings(np.concatenate((m, ring.ravel())), offsets)
 
-    def m_of(a: int, b: int) -> int:
-        return mid[(a, b)] if a < b else mid[(b, a)]
-
-    new_edges: list[tuple[int, int]] = []
-    for u, v in edges:
-        w = mid[(u, v)]
-        new_edges.append((u, w))
-        new_edges.append((v, w))
-    for x, y, z in faces:
-        new_edges.append((m_of(x, y), m_of(y, z)))
-        new_edges.append((m_of(y, z), m_of(z, x)))
-        new_edges.append((m_of(z, x), m_of(x, y)))
-
-    succ = rg.successor
-    rot: list[list[int]] = [[m_of(u, w) for w in rg.rotation[u]] for u in range(n)]
-    for u, v in edges:
-        a = succ[v][u]  # apex of the face carrying the dart (u, v)
-        b = succ[u][v]  # apex of the face carrying the dart (v, u)
-        rot.append([u, m_of(a, u), m_of(v, a), v, m_of(b, v), m_of(u, b)])
-
-    bset = set(rg.boundary)
-    new_boundary = list(rg.boundary) + [mid[e] for e in edges if e[0] in bset]
-    base = build_boundary_graph(n + len(edges), new_edges, new_boundary)
-    return build_rotation_graph(base, rot), mid
+    on_boundary = np.zeros(n, dtype=bool)
+    on_boundary[list(rg.boundary)] = True
+    new_boundary = list(rg.boundary) + mids[on_boundary[ea[:, 0]]].tolist()
+    base = build_boundary_graph(n + len(ea), new_edges, new_boundary)
+    return build_rotation_graph(base, rotation), dict(zip(rg.edges, mids.tolist()))
 
 
 def hex_subdivide(rg: RotationGraph) -> RotationGraph:
@@ -179,7 +181,7 @@ class RefinedGraph:
     this map partition the refined vertex set.  ``inherited_boundary``
     collects the cells of the original boundary vertices and is installed
     as the boundary of ``graph``.  ``face_lattices[i]`` indexes the refined
-    vertices inside original face i by grid coordinates (a, b) with
+    vertices inside face ``source.faces[i]`` by grid coordinates (a, b) with
     a, b >= 0 and a + b <= resolution; the face's traced corners sit at
     (0,0), (r,0), (0,r).
     """
@@ -189,7 +191,6 @@ class RefinedGraph:
     parent_map: tuple[int, ...]
     inherited_boundary: tuple[int, ...]
     source: RotationGraph
-    source_faces: tuple[tuple[int, ...], ...]
     face_lattices: tuple[dict, ...]
     resolution: int
 
@@ -270,7 +271,6 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
         parent_map=tuple(parent),
         inherited_boundary=inherited,
         source=src,
-        source_faces=faces,
         face_lattices=tuple(lattices),
         resolution=1 << k,
     )

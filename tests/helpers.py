@@ -9,7 +9,8 @@ np.linalg.pinv.
 
 import numpy as np
 
-from steklov import (BoundaryGraph, Immersion, build_boundary_graph,
+from steklov import (BoundaryGraph, DuplicateEdge, EmptyBoundary, Immersion,
+                     IndexOutOfRange, SelfLoop, build_boundary_graph,
                      build_rotation_graph)
 
 
@@ -56,6 +57,67 @@ def tangency_error(cp, edges):
         target = float(cp.radii[u] + cp.radii[v])
         worst = max(worst, abs(d - target) / target)
     return worst
+
+
+def reference_boundary_graph(n, edges, boundary):
+    """The construction rule written out edge by edge: returns
+    (edges, boundary, neighbors) for a valid n-vertex input, or raises the
+    error of the first offending element in input order."""
+    def vertex(x, what):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise IndexOutOfRange(f"{what}: expected an integer, got {x!r}")
+        if x < 0:
+            raise IndexOutOfRange(f"{what}: {x} is below the minimum 0")
+        if x >= n:
+            raise IndexOutOfRange(f"{what}: {x} is out of range (must be < {n})")
+        return int(x)
+
+    canon, seen = [], set()
+    for e in edges:
+        if len(e) != 2:
+            raise SelfLoop(f"edge {e!r}: expected exactly two endpoints")
+        u = vertex(e[0], f"edge {tuple(e)!r}")
+        v = vertex(e[1], f"edge {tuple(e)!r}")
+        if u == v:
+            raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DuplicateEdge(f"edge {key} listed more than once")
+        seen.add(key)
+        canon.append(key)
+    bset = set()
+    for b in boundary:
+        bset.add(vertex(b, "boundary"))
+    if not bset:
+        raise EmptyBoundary("boundary vertex set must be non-empty")
+    adj = [[] for _ in range(n)]
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(sorted(canon)), tuple(sorted(bset)), tuple(tuple(sorted(a)) for a in adj)
+
+
+def reference_faces(rotation):
+    """Face walks by per-vertex successor dicts and a visited set of darts:
+    (faces, dart -> face index).  The dart after (u, v) is (v, w), w the
+    successor of u in the ring of v; faces start at the first unvisited
+    dart in vertex/rotation order."""
+    succ = []
+    for ring in rotation:
+        succ.append({ring[i]: ring[(i + 1) % len(ring)] for i in range(len(ring))})
+    visited, faces, dart_face = set(), [], {}
+    for u, ring in enumerate(rotation):
+        for v in ring:
+            cur, walk = (u, v), []
+            while cur not in visited:
+                visited.add(cur)
+                dart_face[cur] = len(faces)
+                walk.append(cur[0])
+                a, b = cur
+                cur = (b, succ[b][a])
+            if walk:
+                faces.append(tuple(walk))
+    return tuple(faces), dart_face
 
 
 def stacked_triangulation(rng, n):

@@ -1,11 +1,14 @@
 """Graph construction, validation, face tracing, and genus."""
 
+import hashlib
 import pickle
 import sys
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import (
     Disconnected,
@@ -16,23 +19,28 @@ from steklov import (
     RotationGraph,
     SelfLoop,
     SingularInterior,
+    ValidationError,
     build_boundary_graph,
     build_rotation_graph,
     certify_planar_bound,
     chain_bound,
+    gen_genus,
     gen_sphere,
+    gen_torus,
     genus,
     is_connected,
     is_fully_triangulated,
     lambda_k,
     laplacian,
     octahedron,
+    refine,
     sweep_main_bound,
     trace_faces,
     with_boundary,
 )
 
-from helpers import dense_laplacian, spectrum_oracle
+from helpers import (dense_laplacian, random_connected_graph, reference_boundary_graph,
+                     reference_faces, spectrum_oracle)
 
 
 def k4():
@@ -72,6 +80,13 @@ def test_validation_errors():
         build_boundary_graph(3, [(True, 2)], [0])
     with pytest.raises(IndexOutOfRange):
         build_boundary_graph(3, [(1, 2)], [False])
+    # the first offender in input order is reported, whatever its kind
+    with pytest.raises(DuplicateEdge, match=r"edge \(0, 1\) listed more than once"):
+        build_boundary_graph(3, [(0, 1), (1, 0), (2, 2)], [0])
+    with pytest.raises(IndexOutOfRange, match=f"{2**70} is out of range"):
+        build_boundary_graph(3, [(0, 1), (0, 2**70)], [0])
+    with pytest.raises(IndexOutOfRange, match=r"np.int64\(3\)\): 3 is out of range"):
+        build_boundary_graph(3, np.array([[0, 1], [0, 3]]), [0])
 
 
 def test_with_boundary_replaces_only_boundary():
@@ -118,6 +133,16 @@ def test_rotation_must_permute_neighbours():
         build_rotation_graph(k4(), [[1, 2], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
     with pytest.raises(MalformedRotation):
         build_rotation_graph(k4(), [[1, 2, 2], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    with pytest.raises(MalformedRotation, match="vertex 2 "):
+        build_rotation_graph(k4(), [[1, 2, 3], [0, 3, 2], [0, 1, 2**70], [0, 2]])
+    with pytest.raises(MalformedRotation, match="vertex 3 "):
+        build_rotation_graph(k4(), np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 2]]))
+    with pytest.raises(MalformedRotation, match="3 rows"):
+        build_rotation_graph(k4(), np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3]]))
+    # an (n, d) array is read as n rings of d neighbours
+    rows = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
+    rg = build_rotation_graph(k4(), np.array(rows, dtype=np.int32))
+    assert rg.rotation == k4_rotation().rotation and rg.faces == k4_rotation().faces
 
 
 def test_k4_faces_and_genus():
@@ -247,3 +272,92 @@ def test_with_boundary_carries_boundary_free_caches():
     assert h.base.components is g.base.components
     with pytest.raises(SingularInterior, match="vertex 6 "):
         lambda_k(h, 2)
+
+
+_DEFECTS = ("self-loop", "reversed duplicate", "vertex n", "vertex -1", "True", "1.0",
+            "np.int32", "3-tuple", "empty boundary")
+
+
+@st.composite
+def _graph_input(draw):
+    """A simple graph's edges, in any order and orientation, and a boundary,
+    with at most one injected defect."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    boundary = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    defect = draw(st.sampled_from((None,) + _DEFECTS))
+    vertex = draw(st.integers(0, n - 1))
+    bad = {"self-loop": (vertex, vertex), "vertex n": n, "vertex -1": -1, "True": True,
+           "1.0": float(vertex), "np.int32": np.int32(vertex), "3-tuple": (0, 0, 0)}
+    in_boundary = draw(st.booleans())
+    if defect == "empty boundary":
+        boundary = []
+    elif defect == "reversed duplicate" and edges:
+        j = draw(st.integers(0, len(edges) - 1))
+        edges.insert(draw(st.integers(j + 1, len(edges))), edges[j][::-1])
+    elif defect in ("self-loop", "3-tuple"):
+        edges.insert(draw(st.integers(0, len(edges))), bad[defect])
+    elif defect in bad and in_boundary:
+        boundary.insert(draw(st.integers(0, len(boundary))), bad[defect])
+    elif defect in bad and edges:
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = (bad[defect], edges[i][1]) if draw(st.booleans()) else (edges[i][0], bad[defect])
+    return n, edges, boundary
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_input(), st.booleans())
+def test_construction_matches_the_scalar_reference(case, as_array):
+    n, edges, boundary = case
+    if as_array and all(len(e) == 2 and not isinstance(x, (bool, float))
+                        for e in edges for x in e):
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+    def built():
+        g = build_boundary_graph(n, edges, boundary)
+        return g.edges, g.boundary, g.neighbors
+
+    assert _outcome(built) == _outcome(lambda: reference_boundary_graph(n, edges, boundary))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_faces_match_the_reference_walk(seed):
+    # random rings on a random connected graph: any genus, any face lengths
+    rng = np.random.Generator(np.random.Philox(seed))
+    n, edges = random_connected_graph(rng, n_max=25)
+    g = build_boundary_graph(n, edges, [0])
+    rotation = [rng.permutation(np.array(ring)).tolist() for ring in g.neighbors]
+    rg = build_rotation_graph(g, rotation)
+    faces, dart_face = reference_faces(rotation)
+    assert rg.faces == faces
+    assert dict(rg.dart_face) == dart_face
+
+
+# sha256 of repr((edges, boundary, rotation, faces)): construction is fixed
+# byte for byte, face order and start darts included.
+@pytest.mark.parametrize("build,digest", [
+    (lambda: gen_sphere(0), "4fd44e27906efc919d1a8a0bd768e1e49f4643175f78c911de56e10fc233c16c"),
+    (lambda: gen_sphere(1), "9f4d205b42281ee3f71a7f7e82d726e1f1de33a3328bc24cb478ad5ed0423cd6"),
+    (lambda: gen_sphere(2), "c5c4bc52eea72d3e5d610a6f99192ac5ad3d25913cbc046225051c62e1c8cf02"),
+    (lambda: gen_sphere(3), "b945bfd7eb095ac71d02b3a6f2f0a3d36afab750e44683f678d083d4871da95b"),
+    (lambda: gen_sphere(4), "7a27018da253f1a5f005944d1268bb7e1e93ca674be2642e4d9af52a9df0606c"),
+    (lambda: gen_torus(7, 9), "709ea5de8016be85b2b7f85701b9b7ff7fa246fe5137127fd0907663a6d176e9"),
+    (lambda: gen_genus(3, 6), "9feef80bb2d45a36e56f3dbb3eb3765ad1322b2b50577143388684d61c7e6b9b"),
+    (lambda: refine(octahedron(), None, 2).graph,
+     "aaad57803129b1e1586e3ed8959f2ccc873a6d366db3f24bb77b7da58deddcfa"),
+], ids=["sphere0", "sphere1", "sphere2", "sphere3", "sphere4", "torus7x9", "genus3r6",
+        "octahedron_k2"])
+def test_construction_outputs_are_pinned(build, digest):
+    g = build()
+    text = repr((g.edges, g.boundary, g.rotation, g.faces))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -207,6 +207,24 @@ def test_serialization_is_stable_text():
      "rotation[1]: expected a list"),
     ('{"n": 2, "edges": [[0, 1]], "boundary": [0], "meta": 7}',
      "meta: expected an object"),
+    # the first offender in input order is the one reported
+    ('{"n": 3, "edges": [[0, 1], [0, 1], [2, 1]], "boundary": [0]}',
+     "edges[1]: duplicate of edges[0]"),
+    ('{"n": 3, "edges": [[1, 0], [0, 1], [0, 1]], "boundary": [0]}',
+     "edges[0]: endpoints must satisfy u < v, got [1, 0]"),
+    ('{"n": 4, "edges": [[0, 1], [2, 3], [0, 1.5], [0, 1]], "boundary": [0]}',
+     "edges[2][1]: expected an integer, got 1.5"),
+    ('{"n": 3, "edges": [[0, 1], [0, 2], 7, [0, 1]], "boundary": [0]}',
+     "edges[2]: expected a pair"),
+    ('{"n": 3, "edges": [[0, 1], [0, 2, 1]], "boundary": [0]}', "edges[1]: expected a pair"),
+    ('{"n": 3, "edges": [[0, 1]], "boundary": [0, 2, true]}',
+     "boundary[2]: expected an integer, got True"),
+    ('{"n": 5, "edges": [[0, 1]], "boundary": [0, 2, 1, 9]}',
+     "boundary[2]: entries must be strictly increasing"),
+    ('{"n": 3, "edges": [[0, 1], [1, 2]], "boundary": [0], "rotation": [[1], [0, 7], 4]}',
+     "rotation[1][1]: 7 is out of range (must be < 3)"),
+    ('{"n": 3, "edges": [[0, 1], [1, 2]], "boundary": [0], "rotation": [[1], [], [1, -1]]}',
+     "rotation[2][1]: -1 is below the minimum 0"),
 ])
 def test_schema_violations_are_located(text, fragment):
     with pytest.raises(SchemaError) as ei:

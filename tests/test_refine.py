@@ -193,7 +193,7 @@ def test_refine_face_lattices_cover_faces():
     ref = refine(tetrahedron(), None, 2)
     r = ref.resolution
     assert r == 4
-    faces = ref.source_faces
+    faces = ref.source.faces
     for fi, lattice in enumerate(ref.face_lattices):
         assert len(lattice) == (r + 1) * (r + 2) // 2
         # corners are the original face vertices
