@@ -22,9 +22,9 @@ per-dart arrays of that layout (edge index, reverse dart, face successor)
 and is the only description of it.
 
 What does not depend on the boundary (components, the neighbour CSR, the
-dart arrays, faces, the dart-to-face index) is computed once per graph,
-cached on it and carried to the copies :func:`with_boundary` makes;
-:func:`build_rotation_graph` traces the faces.
+dart arrays, faces, the dart-to-face index, the Laplacian and its diagonal
+index) is computed once per graph, cached on it and carried to the copies
+:func:`with_boundary` makes; :func:`build_rotation_graph` traces the faces.
 """
 
 from __future__ import annotations
@@ -108,6 +108,28 @@ class BoundaryGraph:
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=indptr[1:])
         return _frozen(indptr, indices, order % max(len(ea), 1))
+
+    @cached_property
+    def _laplacian(self) -> scipy.sparse.csr_matrix:
+        """The matrix :func:`laplacian` returns."""
+        ea = self.edge_array
+        rows = np.concatenate([ea[:, 0], ea[:, 1], np.arange(self.n)])
+        cols = np.concatenate([ea[:, 1], ea[:, 0], np.arange(self.n)])
+        vals = np.concatenate([-np.ones(2 * len(ea)), self.degrees.astype(float)])
+        # Row v holds its deg(v) neighbours and the diagonal; built in CSR order
+        # directly, skipping the COO conversion that dominates on small graphs.
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(self.degrees + 1)])
+        L = scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(self.n, self.n))
+        _frozen(L.data, L.indices, L.indptr)
+        # Row v lists its lower neighbours, one per edge (u, v), before its diagonal.
+        L._diag_index = _frozen(L.indptr[:-1] + np.bincount(ea[:, 1], minlength=self.n))[0]
+        return L
+
+    def __getstate__(self):
+        # A SuperLU factor does not pickle, and unpickled arrays are writable;
+        # both are rebuilt on demand.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_laplacian", "_grounded")}
 
     @property
     def max_degree(self) -> int:
@@ -339,8 +361,9 @@ def _canonical_boundary(boundary: Iterable[int], n: int) -> np.ndarray:
     return np.unique(values)
 
 
+# ``_grounded`` is the factor of the grounded Laplacian that resistance keeps.
 _CARRIED = ("neighbors", "edge_set", "edge_array", "degrees", "components",
-            "_adjacency", "_darts", "faces", "dart_face")
+            "_adjacency", "_laplacian", "_grounded", "_darts", "faces", "dart_face")
 
 
 def with_boundary(g, boundary: Iterable[int]):
@@ -426,17 +449,13 @@ def build_rotation_graph(g: BoundaryGraph,
 def laplacian(g: BoundaryGraph) -> scipy.sparse.csr_matrix:
     """Combinatorial Laplacian L = D - A as a scipy CSR matrix, at every size.
 
-    Row sums are exactly zero (integer-valued arithmetic in float64).
+    Row sums are exactly zero (integer-valued arithmetic in float64).  Every
+    row stores its diagonal, also the 0 of an isolated vertex; the matrix
+    keeps the position of each in ``L._diag_index``.  The matrix is built
+    once per graph, cached on it and shared with its :func:`with_boundary`
+    copies, so its arrays are read-only: copy it before changing it.
     """
-    ea = g.edge_array
-    rows = np.concatenate([ea[:, 0], ea[:, 1], np.arange(g.n)])
-    cols = np.concatenate([ea[:, 1], ea[:, 0], np.arange(g.n)])
-    vals = np.concatenate([-np.ones(2 * len(ea)), g.degrees.astype(float)])
-    # Row v holds its deg(v) neighbours and the diagonal; built in CSR order
-    # directly, skipping the COO conversion that dominates on small graphs.
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(g.degrees + 1)])
-    return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(g.n, g.n))
+    return g._laplacian
 
 
 def trace_faces(rg: RotationGraph) -> tuple[tuple[int, ...], ...]:

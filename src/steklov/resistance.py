@@ -5,10 +5,11 @@ as 2 / lambda_2(G, {u, v}), through one LU of L + B/2 per pair.  The
 cross-check grounds vertex 0: it solves L[1:, 1:] x = (e_u - e_v)[1:] with
 x_0 = 0, so x differs from L^+ (e_u - e_v) by a constant, and evaluates
 x_u - x_v.  The grounded Laplacian is positive definite on a connected
-graph and is factored once per graph, so each pair costs two triangular
-solves, the second a refinement step.  Both numbers are returned and their
-agreement is enforced, so a silent regression in either route cannot go
-unnoticed.
+graph and is factored once per graph; the factor is kept on the graph,
+carried to its :func:`graphs.with_boundary` copies and dropped from its
+pickles.  Each pair then costs two triangular solves, the second a
+refinement step.  Both numbers are returned and their agreement is
+enforced, so a silent regression in either route cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -48,12 +49,16 @@ class ResistanceResult:
 
 
 def _network(base):
-    """The per-graph work: the connectivity check, the Laplacian and one
-    factorization of the grounded Laplacian L[1:, 1:]."""
+    """The Laplacian and the factor of the grounded Laplacian L[1:, 1:],
+    after the connectivity check.  The factor is computed on the graph's
+    first call and kept on it."""
     if base.components[0] > 1:
         raise Disconnected("effective resistance is defined on connected graphs")
     L = laplacian(base)
-    return L, _ldl(L[1:, 1:])
+    cache = base.__dict__
+    if "_grounded" not in cache:
+        cache["_grounded"] = _ldl(L[1:, 1:])
+    return L, cache["_grounded"]
 
 
 def _resistance(L, grounded, u: int, v: int) -> ResistanceResult:

@@ -214,15 +214,15 @@ def _ldl(L, bidx=None, mu: float = 0.0):
     ordering and no threshold pivoting, so while perm_r equals perm_c it is
     an LDL^T factorization with D on the diagonal of U.
 
-    L is a symmetric CSR matrix that stores its whole diagonal, as
-    :func:`graphs.laplacian` does.  The shift goes into a copy of its data,
-    and by symmetry the CSR arrays read as CSC are the same matrix.
+    L is a symmetric CSR matrix; by symmetry its arrays read as CSC are the
+    same matrix.  To be shifted it must be a graph's Laplacian from
+    :func:`graphs.laplacian`: the shift goes into a copy of its data, at the
+    diagonal positions ``L._diag_index`` of the rows in ``bidx``.
     """
     data = L.data
     if bidx is not None:
         data = data.copy()
-        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
-        data[np.flatnonzero(L.indices == rows)[bidx]] -= mu
+        data[L._diag_index[bidx]] -= mu
     return scipy.sparse.linalg.splu(
         scipy.sparse.csc_matrix((data, L.indices, L.indptr), shape=L.shape),
         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,

@@ -117,6 +117,22 @@ def test_laplacian_matches_hand_built():
     np.testing.assert_array_equal(L.toarray(), dense_laplacian(5, g.edges))
 
 
+def test_laplacian_is_built_once_read_only_and_shared():
+    g = build_boundary_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)], [0])
+    L = laplacian(g)
+    assert laplacian(g) is L
+    assert laplacian(with_boundary(g, [2, 4])) is L
+    rg = k4_rotation()
+    M = laplacian(rg.base)  # copies made after the first build share it
+    assert laplacian(with_boundary(rg, [1]).base) is M
+    for array in (L.data, L.indices, L.indptr, L._diag_index):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    copy = L.copy()
+    copy.data[0] = 7.0
+    np.testing.assert_array_equal(L.toarray(), dense_laplacian(5, g.edges))
+
+
 def test_laplacian_large_path():
     n = 5000
     edges = [(i, i + 1) for i in range(n - 1)]

@@ -1,11 +1,13 @@
 """Effective resistance via two independent routes, plus the genus floor scan."""
 
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 import steklov.resistance as resistance_module
+import steklov.spectrum as spectrum_module
 
 from steklov import (
     Disconnected,
@@ -19,8 +21,10 @@ from steklov import (
     effective_resistance,
     gen_sphere,
     gen_torus,
+    laplacian,
     octahedron,
     resistance_genus_floor,
+    with_boundary,
 )
 
 from helpers import random_connected_graph, resistance_oracle
@@ -126,6 +130,51 @@ def test_genus_floor_sets_up_each_graph_once(monkeypatch):
     out = resistance_genus_floor(gen_sphere(2))
     assert out["pairs_sampled"] == 300
     assert calls == {"laplacian": 1, "_ldl": 1}
+
+
+def test_pairs_share_one_grounded_factorization(monkeypatch):
+    # The grounded factor is kept on the graph and carried to with_boundary
+    # copies; route A still factors its own L + B/2 for every pair.
+    calls = {"resistance": 0, "spectrum": 0}
+
+    def counted(module, key):
+        original = module._ldl
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, "_ldl", wrapper)
+
+    counted(resistance_module, "resistance")
+    counted(spectrum_module, "spectrum")
+    g = gen_torus(5, 6)
+    pairs = [(0, 1), (2, 9), (3, 17), (29, 4), (8, 20)]
+    for u, v in pairs[:4]:
+        effective_resistance(g, u, v)
+    res = effective_resistance(with_boundary(g, [7]), *pairs[4])
+    assert calls == {"resistance": 1, "spectrum": 5}
+    assert res.r_pinv == pytest.approx(resistance_oracle(g.n, g.edges, *pairs[4]), rel=1e-9)
+
+
+@pytest.mark.parametrize("first", ["pair", "floor"])
+def test_pickles_drop_the_factor(first):
+    rg = gen_torus(4, 5)
+    if first == "pair":
+        effective_resistance(rg, 0, 7)
+    else:
+        resistance_genus_floor(rg, 20)
+    assert "_grounded" in rg.base.__dict__
+    want = effective_resistance(rg, 3, 11)
+    for g in (rg, rg.base):
+        copy = pickle.loads(pickle.dumps(g))
+        base = getattr(copy, "base", copy)
+        assert "_grounded" not in base.__dict__
+        with pytest.raises(ValueError):
+            laplacian(base).data[0] = 1.0
+        got = effective_resistance(copy, 3, 11)
+        assert (got.r_steklov, got.r_pinv) == (want.r_steklov, want.r_pinv)
+    assert resistance_genus_floor(pickle.loads(pickle.dumps(rg)), 20) == \
+        resistance_genus_floor(rg, 20)
 
 
 def test_resistance_accepts_rotation_graphs():

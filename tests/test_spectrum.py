@@ -35,9 +35,9 @@ from steklov import (
 )
 
 import steklov.spectrum as spectrum_module
-from steklov.spectrum import _check_dense_size
+from steklov.spectrum import _check_dense_size, _ldl
 
-from helpers import (dtn_oracle, random_boundary, random_connected_graph,
+from helpers import (dense_laplacian, dtn_oracle, random_boundary, random_connected_graph,
                      spectrum_oracle)
 
 
@@ -361,3 +361,42 @@ def test_schur_route_factors_through_ldl(step, factorizations, monkeypatch):
     assert calls == {"_ldl": 2 * factorizations}
     np.testing.assert_allclose(S, dtn_oracle(g.n, g.edges, g.boundary), atol=1e-9)
     np.testing.assert_allclose(w, spectrum_oracle(g.n, g.edges, g.boundary), atol=1e-9)
+
+
+@st.composite
+def _shifted_systems(draw):
+    """Any graph on n <= 12 vertices, isolated ones included, a boundary
+    holding at least one vertex of every component, a shift mu < 0 and a
+    right-hand side."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    boundary = {draw(st.sampled_from([v for v in range(n) if find(v) == r]))
+                for r in {find(v) for v in range(n)}}
+    boundary |= draw(st.sets(st.integers(0, n - 1)))
+    mu = draw(st.floats(-4.0, -0.05))
+    b = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return n, edges, sorted(boundary), mu, np.array(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shifted_systems())
+def test_shift_lands_on_the_diagonal(case):
+    # Each row's stored diagonal, the 0 of an isolated vertex included, is
+    # where the cached index points the shift.
+    n, edges, boundary, mu, b = case
+    L = laplacian(build_boundary_graph(n, edges, boundary))
+    got = _ldl(L, np.array(boundary), mu).solve(b)
+    shift = np.zeros(n)
+    shift[boundary] = 1.0
+    want = np.linalg.solve(dense_laplacian(n, edges) - mu * np.diag(shift), b)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
