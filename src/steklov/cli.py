@@ -267,3 +267,7 @@ def cli(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

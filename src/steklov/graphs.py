@@ -19,7 +19,7 @@ Darts are laid out in CSR order over ``rotation``: dart ``d`` is the d-th
 entry of the concatenated rings, so the darts of ``v`` are ``(v, w)`` for
 ``w`` in ``rotation[v]``, in that order.  :class:`_Darts` holds the
 per-dart arrays of that layout (edge index, reverse dart, face successor)
-and is the only description of it.
+and is the only description of it (``dart_face`` is indexed by its ids).
 
 What does not depend on the boundary (components, the neighbour CSR, the
 dart arrays, faces, the dart-to-face index, the Laplacian and its diagonal
@@ -30,11 +30,10 @@ index) is computed once per graph, cached on it and carried to the copies
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import chain, repeat
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -49,6 +48,11 @@ from .errors import (
     SelfLoop,
     ValidationError,
 )
+
+
+def _fields_only(self) -> dict:
+    """Pickle state: the dataclass fields; caches are rebuilt on demand, read-only."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -126,10 +130,7 @@ class BoundaryGraph:
         L._diag_index = _frozen(L.indptr[:-1] + np.bincount(ea[:, 1], minlength=self.n))[0]
         return L
 
-    def __getstate__(self):
-        # A SuperLU factor does not pickle, and unpickled arrays are writable;
-        # both are rebuilt on demand.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_laplacian", "_grounded")}
+    __getstate__ = _fields_only
 
     @property
     def max_degree(self) -> int:
@@ -189,16 +190,17 @@ class RotationGraph:
         return tuple(faces)
 
     @cached_property
-    def dart_face(self) -> Mapping[tuple[int, int], int]:
-        """Read-only map from each dart (u, v) to the index of its face."""
-        faces = self.faces
-        darts = zip(chain.from_iterable(faces),
-                    chain.from_iterable(f[1:] + f[:1] for f in faces))
-        index = chain.from_iterable(repeat(i, len(f)) for i, f in enumerate(faces))
-        return MappingProxyType(dict(zip(darts, index)))
+    def dart_face(self) -> np.ndarray:
+        """Read-only int array: the index in ``faces`` of the face of each dart
+        (dart (u, v) is ``offsets[u] + rotation[u].index(v)``).  Faces are the
+        cycles of ``next``, labelled as components without a second walk; SciPy
+        numbers them by lowest dart, where each walk of ``faces`` starts."""
+        nxt = self._darts.next
+        cycles = scipy.sparse.coo_matrix((np.ones(len(nxt)), (np.arange(len(nxt)), nxt)),
+                                         shape=(len(nxt),) * 2)
+        return _frozen(scipy.sparse.csgraph.connected_components(cycles, directed=False)[1])[0]
 
-    def __getstate__(self):  # a read-only view does not pickle; it is rebuilt on demand
-        return {k: v for k, v in self.__dict__.items() if k != "dart_face"}
+    __getstate__ = _fields_only
 
     # Convenience pass-throughs.
     @property

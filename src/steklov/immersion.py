@@ -122,23 +122,28 @@ class _Charts:
     """Per-call lookup tables for routing inside a RefinedGraph."""
 
     r: int
-    source: RotationGraph   # its faces and dart_face index the lattices
+    source: RotationGraph   # its face indices index the lattices
     lats: tuple             # face index -> {(a, b): refined vertex id}
     inv: list               # face index -> {refined vertex id: (a, b)}
     ids: list               # face index -> sorted refined vertex ids
     faces_at: list          # source vertex -> face indices in rotation order
 
+    def face_of(self, u, v) -> int:
+        """Index of the face of the dart (u, v)."""
+        return self.faces_at[u][self.source.rotation[u].index(v)]
+
 
 def _build_charts(refined: RefinedGraph) -> _Charts:
     lats = refined.face_lattices
     src = refined.source
+    face, offsets = src.dart_face.tolist(), src._darts.offsets.tolist()
     return _Charts(
         r=refined.resolution,
         source=src,
         lats=lats,
         inv=[{vid: key for key, vid in lat.items()} for lat in lats],
         ids=[sorted(lat.values()) for lat in lats],
-        faces_at=[[src.dart_face[(v, w)] for w in src.rotation[v]] for v in range(src.n)],
+        faces_at=[face[a:b] for a, b in zip(offsets, offsets[1:])],
     )
 
 
@@ -192,7 +197,7 @@ def _route(a, b, f, fp, ch: _Charts, rng) -> list[int]:
     m = len(walk)
     for i in range(m):
         c, d = walk[i], walk[(i + 1) % m]
-        if ch.source.dart_face.get((d, c)) == fp:
+        if ch.face_of(d, c) == fp:
             p, q = c, d
             break
     if p is None:
@@ -265,7 +270,7 @@ def _initial_path(v, rep, x, edge_faces, ch: _Charts, rng) -> list[int]:
         walk = ch.source.faces[f]
         m = len(walk)
         adj = sorted(
-            {ch.source.dart_face[(walk[(i + 1) % m], walk[i])] for i in range(m)} - {f}
+            {ch.face_of(walk[(i + 1) % m], walk[i]) for i in range(m)} - {f}
         )
         partner = adj[int(rng.integers(len(adj)))]
         return _route(pts[0], pts[1], f, partner, ch, rng)
@@ -335,7 +340,7 @@ def random_immersion(refined: RefinedGraph, seed: int) -> Immersion:
     fine_edges = refined.graph.base.edge_set
     raw_paths: dict[tuple[int, int], list[int]] = {}
     for u, v in src.edges:
-        f1, f2 = ch.source.dart_face[(u, v)], ch.source.dart_face[(v, u)]
+        f1, f2 = ch.face_of(u, v), ch.face_of(v, u)
         edge_faces = (f1, f2) if f1 <= f2 else (f2, f1)
         pool = sorted(set(ch.ids[edge_faces[0]]) | set(ch.ids[edge_faces[1]]))
         x = pool[int(rng.integers(len(pool)))]

@@ -4,7 +4,9 @@
 face is treated as the outer boundary with its radii pinned to 1, damped
 Newton on the log-radii of the other vertices makes the angle sum at every
 interior vertex 2*pi (a convex problem, by Colin de Verdière's variational
-principle), and centers are then laid out face by face.  The centers lift
+principle; each step factors the Jacobian with the package's one sparse
+factorization, ``spectrum._ldl``), and centers are then laid out face by
+face, walking the dart arrays of the rotation graph.  The centers lift
 to the unit sphere by inverse stereographic projection, a Möbius
 transformation found by damped Newton on the ball point it sends to the
 origin recenters the boundary points, and the resulting unit vectors feed
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -31,7 +33,7 @@ from .errors import (
     TooSmall,
 )
 from .graphs import RotationGraph, is_connected, with_boundary
-from .spectrum import lambda_k, vector_rayleigh_bound
+from .spectrum import _ldl, lambda_k, vector_rayleigh_bound
 
 # Newton converges quadratically, so it is run to near roundoff rather than
 # stopped at the declared residual, and the face-by-face layout inherits
@@ -83,8 +85,9 @@ def circle_pack(rg: RotationGraph) -> CirclePacking:
     (so a disk-like input such as a wheel keeps its natural rim).  Outer
     radii are pinned to 1.  The other radii come from damped Newton on
     their logarithms: each step solves J du = 2*pi - theta with the sparse
-    angle-sum Jacobian J and halves the step until the max angle defect
-    drops.  More than one big face raises NotTriangulated, positive genus
+    angle-sum Jacobian J (the Hessian of Colin de Verdière's functional,
+    symmetric up to roundoff), factored by ``spectrum._ldl``, and halves
+    the step until the max angle defect drops.  More than one big face raises NotTriangulated, positive genus
     NonzeroGenus, a disconnected graph Disconnected, and an angle-sum
     residual that will not drop below 1e-8 ConvergenceFailure.
     """
@@ -131,18 +134,19 @@ def circle_pack(rg: RotationGraph) -> CirclePacking:
             # so d/d(log r_a) = sqrt(s/(1-s)) * r_v/(r_v+r_a); 1 - s is written
             # out as r_v (r_v+r_a+r_b)/((r_v+r_a)(r_v+r_b)) so tiny circles lose
             # no digits.  The angle is scale invariant, so the r_v derivative
-            # is minus the sum of the other two.
+            # is minus the sum of the other two.  Returned as the CSR matrix
+            # of J^T, whose arrays read as CSC are J, as _ldl reads them.
             rv, ra, rb = r[wvert], r[wa], r[wb]
             q = np.sqrt(ra * rb / (rv * (rv + ra + rb)))
             da, db = q * rv / (rv + ra), q * rv / (rv + rb)
             data = np.concatenate([-da, -db, da[ia], db[ib]])
-            return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(m, m))
+            return scipy.sparse.csr_matrix((data, (cols, rows)), shape=(m, m))
 
         d = defect(radii)
         err = float(np.abs(d).max())
         steps = 0
         while err > _ANGLE_TARGET and steps < _MAX_STEPS:
-            du = scipy.sparse.linalg.spsolve(jacobian(radii), d)
+            du = _ldl(jacobian(radii)).solve(d)
             t = 1.0
             while t >= _MIN_DAMPING:
                 cand = radii.copy()
@@ -178,47 +182,43 @@ def _layout(rg: RotationGraph, outer_pos: int, radii) -> np.ndarray:
     Each face is laid out in its traced cyclic order with the same turning
     sign, which keeps adjacent apexes on opposite sides of their shared
     edge; the angle sums being 2*pi makes the placements globally
-    consistent.
+    consistent.  It walks darts: the apex across dart g is ``head[next[g]]``.
     """
-    faces, dart_face = rg.faces, rg.dart_face
-    outer = faces[outer_pos]
-    seed = None
-    for i in range(len(outer)):
-        a0, b0 = outer[i], outer[(i + 1) % len(outer)]
-        fj = dart_face[(b0, a0)]
-        if fj != outer_pos:
-            seed = (fj, b0, a0)
+    rev, nxt, face = rg._darts.rev.tolist(), rg._darts.next.tolist(), rg.dart_face.tolist()
+    head = list(chain.from_iterable(rg.rotation))
+    tail = list(map(head.__getitem__, rev))
+    first = np.unique(rg.dart_face, return_index=True)[1].tolist()  # where each face walk starts
+
+    d = first[outer_pos]
+    for _ in rg.faces[outer_pos]:
+        if face[rev[d]] != outer_pos:
             break
-    if seed is None:
+        d = nxt[d]
+    else:
         raise Disconnected("no triangle is adjacent to the outer face")
 
     centers = np.full((rg.n, 2), np.nan)
-    fi, p, q = seed
-    cyc = faces[fi]
-    j = cyc.index(p)
-    s = cyc[(j + 2) % 3]
+    g = rev[d]
+    p, q = tail[g], head[g]
     centers[p] = (0.0, 0.0)
     centers[q] = (radii[p] + radii[q], 0.0)
-    _place_apex(p, q, s, centers, radii)
+    _place_apex(p, q, head[nxt[g]], centers, radii)
 
-    visited = {fi}
-    queue = deque([fi])
+    visited = {face[g]}
+    queue = deque(visited)
     while queue:
-        f = faces[queue.popleft()]
-        for i in range(3):
-            a, b = f[i], f[(i + 1) % 3]
-            fj = dart_face[(b, a)]
-            if fj in visited or fj == outer_pos:
+        d = first[queue.popleft()]
+        for _ in range(3):
+            g, d = rev[d], nxt[d]
+            if face[g] in visited or face[g] == outer_pos:
                 continue
-            visited.add(fj)
-            cyc = faces[fj]
-            s = next(t for t in cyc if t != a and t != b)
+            visited.add(face[g])
+            s = head[nxt[g]]
             if np.isnan(centers[s]).any():
-                j = cyc.index(s)
-                _place_apex(cyc[(j + 1) % 3], cyc[(j + 2) % 3], s, centers, radii)
-            queue.append(fj)
+                _place_apex(tail[g], head[g], s, centers, radii)
+            queue.append(face[g])
 
-    if len(visited) != len(faces) - 1 or np.isnan(centers).any():
+    if len(visited) != len(rg.faces) - 1 or np.isnan(centers).any():
         raise Disconnected(
             "faces other than the outer one do not form a connected layout"
         )

@@ -15,7 +15,6 @@ enforced, so a silent regression in either route cannot go unnoticed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -113,10 +112,15 @@ def resistance_genus_floor(rg: RotationGraph, max_pairs: int = 300) -> dict:
         raise TooSmall("need at least two vertices to measure a resistance")
     L, grounded = _network(base)
     g = genus(rg)
-    pairs = list(combinations(range(base.n), 2))
-    if len(pairs) > max_pairs:
-        chosen = _seeded_rng(0).choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in sorted(chosen)]
+    total = base.n * (base.n - 1) // 2
+    chosen = np.arange(total) if total <= max_pairs else \
+        np.sort(_seeded_rng(0).choice(total, size=max_pairs, replace=False))
+    # Index k of the lexicographic pair order is (u, v): row u holds the
+    # n - 1 - u pairs (u, u + 1) .. (u, n - 1) and starts at starts[u].
+    counts = np.arange(base.n - 1, 0, -1)
+    starts = np.cumsum(counts) - counts
+    u = np.searchsorted(starts, chosen, side="right") - 1
+    pairs = list(zip(u.tolist(), (chosen - starts[u] + u + 1).tolist()))
 
     best_r = np.inf
     best_pair = pairs[0]

@@ -212,12 +212,16 @@ def _ldl(L, bidx=None, mu: float = 0.0):
     """SuperLU factorization of L - mu B, B the indicator of ``bidx`` (no
     shift when it is None), that keeps to the diagonal: a symmetric
     ordering and no threshold pivoting, so while perm_r equals perm_c it is
-    an LDL^T factorization with D on the diagonal of U.
+    an LDL^T factorization with D on the diagonal of U.  It is the
+    package's one sparse factorization.
 
-    L is a symmetric CSR matrix; by symmetry its arrays read as CSC are the
-    same matrix.  To be shifted it must be a graph's Laplacian from
-    :func:`graphs.laplacian`: the shift goes into a copy of its data, at the
-    diagonal positions ``L._diag_index`` of the rows in ``bidx``.
+    L's CSR arrays are read as CSC, which is L itself when L is symmetric,
+    as a Laplacian is.  The Newton Jacobian J of :func:`packing.circle_pack`
+    is symmetric only to roundoff, so it is passed as the CSR matrix of J^T,
+    whose arrays read as CSC are J.  To be shifted L must be a graph's
+    Laplacian from :func:`graphs.laplacian`: the shift goes into a copy of
+    its data, at the diagonal positions ``L._diag_index`` of the rows in
+    ``bidx``.
     """
     data = L.data
     if bidx is not None:

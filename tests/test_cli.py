@@ -1,10 +1,14 @@
 """End-to-end command-line checks: output formats, pipelines, exit codes."""
 
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import steklov
 from steklov import (
     GraphDocument,
     gen_torus,
@@ -201,3 +205,17 @@ def test_entry_point_raises_system_exit(k2_file, monkeypatch, capsys):
         entry()
     assert ei.value.code == 0
     assert capsys.readouterr().out == "0 2\n"
+
+
+@pytest.mark.parametrize("module", ["steklov", "steklov.cli"])
+def test_module_invocation_runs_the_cli(module, tmp_path, capsys):
+    path = write_doc(tmp_path, "torus.json", graph_to_document(gen_torus(3, 3)))
+    assert cli(["spectrum", path, "--k", "2"]) == 0
+    want = capsys.readouterr().out
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", module, "spectrum", path, "--k", "2"],
+                         capture_output=True, cwd=tmp_path, env=env)
+    assert run.returncode == 0
+    assert run.stdout == want.encode()

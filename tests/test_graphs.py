@@ -53,6 +53,16 @@ def k4_rotation():
     return build_rotation_graph(k4(), [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 
 
+def by_dart_id(rg, dart_face):
+    """A {(u, v): face} map as a list over the dart ids of ``rg``: the dart
+    (u, v) is offsets[u] + rotation[u].index(v)."""
+    offsets = rg._darts.offsets.tolist()
+    out = [None] * offsets[-1]
+    for (u, v), f in dart_face.items():
+        out[offsets[u] + rg.rotation[u].index(v)] = f
+    return out
+
+
 def test_edges_are_canonicalised():
     g = build_boundary_graph(3, [(2, 0), (1, 0)], [2, 0])
     assert g.edges == ((0, 1), (0, 2))
@@ -252,20 +262,36 @@ def test_faces_are_walked_once_per_build(run, monkeypatch):
 def test_trace_faces_reads_the_build_trace():
     rg = k4_rotation()
     assert trace_faces(rg) is rg.faces
-    assert dict(rg.dart_face) == {
-        (f[i], f[(i + 1) % len(f)]): fi for fi, f in enumerate(rg.faces)
-        for i in range(len(f))}
-    with pytest.raises(TypeError):
-        rg.dart_face[(0, 1)] = 0
-    # the read-only view is dropped from the pickle and rebuilt on demand
+    assert rg.dart_face.tolist() == by_dart_id(rg, reference_faces(rg.rotation)[1])
+    with pytest.raises(ValueError):
+        rg.dart_face[0] = 0
+    # the index is dropped from the pickle and rebuilt on demand
     copy = pickle.loads(pickle.dumps(rg))
-    assert copy == rg and copy.faces == rg.faces and copy.dart_face == rg.dart_face
+    assert copy == rg and copy.faces == rg.faces
+    assert copy.dart_face.tolist() == rg.dart_face.tolist()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["built", "every_cache"])
+def test_pickles_carry_the_dataclass_fields_only(warm):
+    rg = octahedron()
+    if warm:  # fill the caches that are built on demand
+        rg.dart_face, rg.base.neighbors, rg.base.components, laplacian(rg.base)
+    copy = pickle.loads(pickle.dumps(rg))
+    assert set(copy.__dict__) == {"base", "rotation"}
+    assert set(copy.base.__dict__) == {"n", "edges", "boundary"}
+    assert copy == rg
+    for g in (copy, with_boundary(copy, [0, 1])):
+        for a in (g.base.edge_array, *g.base._adjacency, *g._darts, g.dart_face,
+                  laplacian(g.base).data):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
 
 
 def test_with_boundary_carries_boundary_free_caches():
     g = gen_sphere(1)
     assert g.base.interior == ()
     faces, darts = g.faces, g.dart_face
+    assert darts.tolist() == by_dart_id(g, reference_faces(g.rotation)[1])
     assert is_connected(g.base)
     other = list(range(0, g.n, 3))
     h = with_boundary(g, other)
@@ -356,7 +382,7 @@ def test_faces_match_the_reference_walk(seed):
     rg = build_rotation_graph(g, rotation)
     faces, dart_face = reference_faces(rotation)
     assert rg.faces == faces
-    assert dict(rg.dart_face) == dart_face
+    assert rg.dart_face.tolist() == by_dart_id(rg, dart_face)
 
 
 # sha256 of repr((edges, boundary, rotation, faces)): construction is fixed

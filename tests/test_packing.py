@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import steklov
+import steklov.packing as packing_module
 from steklov import (
     ConvergenceFailure,
     EmptyBoundary,
@@ -125,6 +128,37 @@ def test_stacked_triangulations_pack(seed):
     assert cp.residual <= 1e-8
     assert tangency_error(cp, rg.edges) <= 1e-7
     assert np.all(cp.radii > 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_sphere(2),
+    lambda: stacked_triangulation(np.random.Generator(np.random.Philox(0)), 1000),
+], ids=["sphere2", "stacked1000"])
+def test_newton_steps_factor_through_ldl(build, monkeypatch):
+    rg = build()
+    solves = []  # per factorization, the number of solves with it
+    original = packing_module._ldl
+
+    def counted(J):
+        lu, i = original(J), len(solves)
+        solves.append(0)
+
+        def solve(b):
+            solves[i] += 1
+            return lu.solve(b)
+        return SimpleNamespace(solve=solve)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spsolve called")
+
+    monkeypatch.setattr(packing_module, "_ldl", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", refuse)
+    cp = circle_pack(rg)
+    # one factorization per Newton step, each solved once
+    assert 1 <= len(solves) <= packing_module._MAX_STEPS
+    assert solves == [1] * len(solves)
+    assert cp.residual <= 1e-8
+    assert tangency_error(cp, rg.edges) <= 1e-7
 
 
 def test_pack_input_validation():

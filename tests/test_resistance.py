@@ -2,6 +2,8 @@
 
 import pickle
 import time
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -233,6 +235,25 @@ def test_genus_floor_sampling_is_deterministic():
     assert a == b
     assert a["pairs_sampled"] == 40
     assert a["min_resistance"] > 0
+
+
+def test_genus_floor_samples_without_listing_every_pair():
+    # 1 279 200 pairs: listing them all peaked near 80 MB, where five
+    # sampled pairs need well under one
+    rg = gen_torus(40, 40)
+    tracemalloc.start()
+    try:
+        out = resistance_genus_floor(rg, max_pairs=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    pairs = list(combinations(range(rg.n), 2))
+    draw = np.random.Generator(np.random.Philox(0)).choice(len(pairs), size=5, replace=False)
+    best = min((effective_resistance(rg, *pairs[i]).r_steklov, pairs[i]) for i in draw)
+    assert out["pairs_sampled"] == 5
+    assert out["argmin"] == best[1]
+    assert out["min_resistance"] == pytest.approx(best[0], rel=1e-12)
 
 
 def test_genus_floor_needs_two_vertices():
