@@ -14,10 +14,11 @@ Both routes read the graph's cached components and its CSR Laplacian:
 
 * ``dtn_matrix`` and ``steklov_spectrum`` return output dense in |B|, so
   they build S itself: one factorization of L_II, by the symmetric SuperLU
-  set-up ``lambda_k`` uses, solves for every boundary column, L_BI
-  multiplies the solution as a sparse matrix, and S is eigensolved densely.
-  Their arrays grow like |B|^2, so a boundary too large for them is
-  refused with a ``ValidationError`` before anything dense is allocated.
+  set-up ``lambda_k`` uses, is solved one block of boundary columns at a
+  time, L_BI multiplies each solved block as a sparse matrix, and S is
+  eigensolved densely in its own memory.  Their arrays grow like |B|^2, so
+  a boundary too large for them is refused with a ``ValidationError``
+  before anything dense is allocated.
 * ``lambda_k`` answers one eigenvalue without S.  It factors the shifted
   matrix A = L - sigma B once (B the boundary indicator, sigma < 0).  A is
   positive definite because every component holds a boundary vertex, and
@@ -30,8 +31,10 @@ The dense steps (the eigensolves and the products with their eigenvectors)
 call SciPy's LAPACK/BLAS, the OpenBLAS that SuperLU uses.  NumPy's wheel
 bundles a second OpenBLAS; handing work from one to the other leaves the
 first one's worker threads spinning for a while on cores the second needs.
-With full boundary S is the sparse Laplacian, so the eigenpairs are checked
-by sparse products over column blocks instead of a dense |B|^3 product.
+The eigenfunctions F of ``steklov_spectrum`` are checked on L itself: the
+harmonic extension has (L F)_B = S Q and (L F)_I = 0, so sparse products
+over column blocks check the eigenpairs and every interior row returned,
+without a dense |B|^3 product.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ _CLUSTER_TOL = 1e-9
 _GAP_FRACTIONS = (1.0 - np.exp(-1.0), 1.0 / np.pi)
 # Bytes the dense |B| x |B| routes may hold at once.
 _DENSE_BUDGET = 5 * 2**30
-# Eigenvector columns per block of a sparse residual product.
+# Columns per block of the dense routes' solves, products and residuals.
 _RESID_BLOCK = 512
 
 
@@ -87,7 +90,9 @@ class SteklovSpectrum:
 
     ``eigenfunctions[:, k]`` is the function on all of V whose restriction to
     the boundary is the k-th eigenvector; columns are orthonormal on the
-    boundary.
+    boundary.  Every column is residual-checked on the Laplacian: L f equals
+    the eigenvalue times f on the boundary and 0 inside.  With full boundary
+    the array is the eigensolver's own, in Fortran order.
     """
 
     eigenvalues: np.ndarray
@@ -116,43 +121,77 @@ def _check_interior_reaches_boundary(g: BoundaryGraph) -> int:
     return ncomp
 
 
-def _check_dense_size(n: int, nb: int) -> None:
+def _check_dense_size(n: int, nb: int, nnz: int = 0) -> int:
     """Refuse dense |B| x |B| work that would not fit, before allocating it.
 
-    Counts the float64 arrays of ``steklov_spectrum`` at its peak, from n
-    and |B| alone: S, the eigensolver's copy of S and its 2|B|^2 workspace,
-    the eigenvectors Q and the n x |B| eigenfunctions.  That is the largest
-    dense route once |B| is large, which is where the budget binds.
+    Returns the bytes held at the largest peak of the dense routes on n
+    vertices, |B| of them on the boundary, and a Laplacian with nnz stored
+    entries.  Each phase is counted in doubles from n, |B|, ni = n - |B| and
+    the column block b.  dsyevd with vectors takes 2|B|^2 + 6|B| + 1 doubles
+    and 5|B| + 3 integers beside the |B| eigenvalues; 4n doubles and 64 KiB
+    more cover the index vectors and the Python objects of a call.
+
+    * Explicit finish of ``lambda_k``: the shifted copy of L's entries;
+      M = (S - sigma I)^{-1} with one solved block of E and its boundary
+      rows; M, eigh's copy Q and the workspace; M, Q and one residual block.
+    * ``steklov_spectrum``: S, X = L_II^{-1} L_IB, the permuted Laplacian
+      and its blocks (3 nnz + 3n) and one block of the interior solve or the
+      two |B|^2 temporaries of 0.5 (S + S^T); S, X and the workspace; the
+      eigenfunctions F with Q, X and one block of -X Q; F and one block of
+      the residual L F - F w.
+    * ``dtn_matrix``: the spectrum's first phase without X.
+
+    Once |B| is large, where the budget binds, the explicit finish's 4|B|^2
+    is the peak (the spectrum's is 3|B|^2 with full boundary).
     """
-    need = 8 * (5 * nb * nb + n * nb)
+    b, ni = min(nb, _RESID_BLOCK), n - nb
+    x, evd = ni * nb, 2 * nb * nb + 10 * nb + 3
+    peak = max(nnz, nb * nb + 2 * n * b + nb * b, 2 * nb * nb + evd,
+               2 * nb * nb + 3 * nb * b, n * nb + 2 * n * b + 3 * nb * b)
+    if ni:
+        peak = max(peak, n * nb + nb * nb + x + ni * b,
+                   nb * nb + x + 3 * nnz + 3 * n + max(2 * ni * b + nb * b, evd))
+    need = 8 * (peak + 4 * n) + 2**16
     if need > _DENSE_BUDGET:
         raise ValidationError(
             f"dense spectral work on {nb} boundary vertices ({n} in all) needs "
             f"{need / 2**30:.1f} GiB, over the {_DENSE_BUDGET / 2**30:.0f} GiB "
             "budget; lambda_k answers single eigenvalues without it"
         )
+    return need
 
 
-def _schur_with_extension(g: BoundaryGraph):
-    """Return (S, X, c, L) where S is the DtN matrix, X = L_II^{-1} L_IB, so
-    that -X maps boundary values to the interior values of their harmonic
-    extension, c is the number of components, and L is the sparse
-    Laplacian when the boundary is all of V (then S = L), else None.
+def _schur(g: BoundaryGraph, extend: bool):
+    """Return (S, X, c): S the DtN matrix, c the number of components and,
+    when ``extend`` asks for it and the boundary is not all of V (else
+    S = L and X is None), X = L_II^{-1} L_IB, so that -X maps boundary
+    values to the interior values of their harmonic extension.
+
+    L_II is factored once and solved one column block at a time; each block
+    is subtracted from S through L_BI as it arrives, and the factor is freed
+    before S is symmetrised.
     """
-    nb = len(g.boundary)
-    _check_dense_size(g.n, nb)
-    ncomp = _check_interior_reaches_boundary(g)
+    n, nb = g.n, len(g.boundary)
     L = laplacian(g)
-    order = list(g.boundary) + list(g.interior)
+    _check_dense_size(n, nb, L.nnz)
+    ncomp = _check_interior_reaches_boundary(g)
+    if nb == n:
+        return L.toarray(), None, ncomp
+    order = np.concatenate([g.boundary, g.interior])
     P = L[order][:, order]  # boundary first: the blocks are contiguous slices
-    L_bb = P[:nb, :nb].toarray()
-    if nb == g.n:
-        return L_bb, np.zeros((0, nb)), ncomp, P
+    S = P[:nb, :nb].toarray()
     L_ib = P[nb:, :nb]
-    X = _ldl(P[nb:, nb:]).solve(L_ib.toarray())
-    S = L_bb - L_ib.T @ X
-    S = 0.5 * (S + S.T)
-    return S, X, ncomp, None
+    X = np.empty((n - nb, nb), order="F") if extend else None
+    lu = _ldl(P[nb:, nb:])
+    for j in range(0, nb, _RESID_BLOCK):
+        cols = slice(j, j + _RESID_BLOCK)
+        Xj = lu.solve(L_ib[:, cols].toarray())
+        S[:, cols] -= L_ib.T @ Xj
+        if extend:
+            X[:, cols] = Xj
+        del Xj  # before the next block's solve allocates its own
+    del lu
+    return 0.5 * (S + S.T), X, ncomp
 
 
 def dtn_matrix(g) -> DtNMatrix:
@@ -162,34 +201,41 @@ def dtn_matrix(g) -> DtNMatrix:
     when G is connected.  With full boundary this is just the Laplacian.
     """
     base = _base(g)
-    S = _schur_with_extension(base)[0]
+    S = _schur(base, extend=False)[0]
     return DtNMatrix(matrix=S, boundary=base.boundary)
 
 
-def _checked_eigh(S: np.ndarray, zeros: int = 0, sparse=None):
-    """Eigenpairs of a dense symmetric matrix, residual-checked; those of
-    the first ``zeros`` eigenvalues within roundoff of 0 are set to 0.
-    ``sparse``, when given, is S as a sparse matrix and takes the residual
-    product in its place."""
+def _eigh(S: np.ndarray, overwrite: bool):
+    """Eigenpairs of the exactly symmetric S by LAPACK's dsyevd.  S.T is S
+    in the Fortran order LAPACK reads, so with ``overwrite`` the
+    eigenvectors come back in S's memory."""
     try:
-        w, Q = scipy.linalg.eigh(S, driver="evd", check_finite=False)
+        return scipy.linalg.eigh(S.T, driver="evd", overwrite_a=overwrite,
+                                 check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolve failed: {exc}") from exc
+
+
+def _check_residual(resid: float, w: np.ndarray) -> float:
+    """Raise unless an eigenpair residual is within 1e-9 of the spectral
+    scale max(1, |w|), which is returned."""
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if sparse is None:
-        # S is exactly symmetric, so S.T is S in the Fortran order BLAS reads.
-        resid = float(np.abs(scipy.linalg.blas.dgemm(1.0, S.T, Q) - Q * w).max(initial=0.0))
-    else:
-        # Column blocks keep the product's temporaries small.
-        b = _RESID_BLOCK
-        resid = max((float(np.abs(sparse @ Q[:, j:j + b] - Q[:, j:j + b] * w[j:j + b]).max())
-                     for j in range(0, len(w), b)), default=0.0)
     if resid > _EIG_TOL * scale:
         raise ConvergenceFailure(
             f"eigensolve residual {resid:.3e} above {_EIG_TOL:.0e} * {scale:.3e}"
         )
-    w[:zeros][np.abs(w[:zeros]) < _KERNEL_CLAMP * scale] = 0.0
-    return w, Q
+    return scale
+
+
+def _checked_eigh(S: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a dense symmetric matrix, its eigenpairs
+    residual-checked one column block of eigenvectors at a time."""
+    w, Q = _eigh(S, overwrite=False)
+    b = _RESID_BLOCK
+    _check_residual(max((float(np.abs(scipy.linalg.blas.dgemm(1.0, S.T, Q[:, j:j + b])
+                                      - Q[:, j:j + b] * w[j:j + b]).max())
+                         for j in range(0, len(w), b)), default=0.0), w)
+    return w
 
 
 def steklov_spectrum(g) -> SteklovSpectrum:
@@ -199,12 +245,31 @@ def steklov_spectrum(g) -> SteklovSpectrum:
     0 are returned as exactly 0.
     """
     base = _base(g)
-    S, X, ncomp, L = _schur_with_extension(base)
-    w, Q = _checked_eigh(S, zeros=ncomp, sparse=L)
-    F = np.empty((base.n, len(base.boundary)))
-    F[list(base.boundary), :] = Q
-    if base.interior:
-        F[list(base.interior), :] = scipy.linalg.blas.dgemm(-1.0, X, Q)
+    n, nb = base.n, len(base.boundary)
+    S, X, ncomp = _schur(base, extend=True)
+    w, F = _eigh(S, overwrite=True)
+    del S
+    rows = slice(None)  # the boundary rows of F
+    if X is not None:
+        rows = np.asarray(base.boundary)
+        Q, F = F, np.empty((n, nb))
+        F[rows] = Q
+        iidx = np.asarray(base.interior)
+        for j in range(0, nb, _RESID_BLOCK):
+            cols = slice(j, j + _RESID_BLOCK)
+            F[iidx, cols] = scipy.linalg.blas.dgemm(-1.0, X, Q[:, cols])
+        del Q, X
+    # The harmonic extension has (L F)_B = S Q and (L F)_I = 0, so one
+    # blocked sparse product checks the eigenpairs and every interior row.
+    L = laplacian(base)
+    resid = 0.0
+    for j in range(0, nb, _RESID_BLOCK):
+        cols = slice(j, j + _RESID_BLOCK)
+        R = L @ F[:, cols]
+        R[rows] -= F[rows, cols] * w[cols]
+        resid = max(resid, float(np.abs(R, out=R).max()))
+    scale = _check_residual(resid, w)
+    w[:ncomp][np.abs(w[:ncomp]) < _KERNEL_CLAMP * scale] = 0.0
     return SteklovSpectrum(eigenvalues=w, eigenfunctions=F, boundary=base.boundary)
 
 
@@ -291,14 +356,21 @@ def _inertia_certifies(L, bidx: np.ndarray, lam: np.ndarray, k: int) -> bool:
 
 
 def _explicit_lambdas(L, bidx: np.ndarray, sigma: float) -> np.ndarray:
-    """All |B| Steklov eigenvalues, from (S - sigma I)^{-1} built column by
-    column through one LU of A = L - sigma B and eigensolved densely."""
+    """All |B| Steklov eigenvalues, from M = (S - sigma I)^{-1} built one
+    column block at a time through one LU of A = L - sigma B (only the
+    boundary rows of each solved block are kept) and eigensolved densely."""
     n, nb = L.shape[0], len(bidx)
-    _check_dense_size(n, nb)
-    E = np.zeros((n, nb))
-    E[bidx, np.arange(nb)] = 1.0
-    M = _ldl(L, bidx, sigma).solve(E)[bidx]
-    nu, _ = _checked_eigh(0.5 * (M + M.T))
+    _check_dense_size(n, nb, L.nnz)
+    lu = _ldl(L, bidx, sigma)
+    M = np.empty((nb, nb))
+    for j in range(0, nb, _RESID_BLOCK):
+        cols = bidx[j:j + _RESID_BLOCK]
+        E = np.zeros((n, len(cols)))
+        E[cols, np.arange(len(cols))] = 1.0
+        M[:, j:j + len(cols)] = lu.solve(E)[bidx]
+    del lu, E
+    M = 0.5 * (M + M.T)
+    nu = _checked_eigh(M)
     return (sigma + 1.0 / nu)[::-1]
 
 

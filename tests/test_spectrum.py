@@ -7,6 +7,7 @@ np.linalg.solve + eigvalsh) and then frozen.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,10 +33,11 @@ from steklov import (
     rayleigh_quotient,
     steklov_spectrum,
     vector_rayleigh_bound,
+    with_boundary,
 )
 
 import steklov.spectrum as spectrum_module
-from steklov.spectrum import _check_dense_size, _ldl
+from steklov.spectrum import _RESID_BLOCK, _base, _check_dense_size, _ldl
 
 from helpers import (dense_laplacian, dtn_oracle, random_boundary, random_connected_graph,
                      spectrum_oracle)
@@ -321,11 +323,87 @@ def test_dense_routes_refuse_oversized_boundary():
         assert time.perf_counter() - t0 < 1.0
 
 
+def _traced_peak(call, g):
+    call(g)  # builds the graph's caches outside the trace
+    tracemalloc.start()
+    try:
+        call(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_BUDGET_CASES = {
+    "sphere3-full": lambda: gen_sphere(3),
+    "sphere3-quarter": lambda: with_boundary(gen_sphere(3), range(0, 642, 4)),
+    "torus25-full": lambda: gen_torus(25, 25),
+    # two solve and residual blocks, the second 8 columns wide
+    "sphere4-520": lambda: with_boundary(gen_sphere(4), sorted(
+        np.random.default_rng(5).choice(2562, _RESID_BLOCK + 8, replace=False).tolist())),
+}
+
+
+@pytest.mark.parametrize("case", list(_BUDGET_CASES))
+@pytest.mark.parametrize("route", ["steklov_spectrum", "dtn_matrix", "explicit_finish"])
+def test_dense_budget_covers_the_traced_peak(case, route):
+    g = _BUDGET_CASES[case]()
+    nb = len(g.boundary)
+    call = {"steklov_spectrum": steklov_spectrum, "dtn_matrix": dtn_matrix,
+            # k + 1 >= |B|: outside ARPACK's domain, so the whole block is solved
+            "explicit_finish": lambda g: lambda_k(g, nb - 1)}[route]
+    peak = _traced_peak(call, g)
+    assert peak <= _check_dense_size(g.n, nb, laplacian(_base(g)).nnz)
+
+
+def test_dense_budget_covers_small_graphs():
+    # fixed per-call costs dominate here, and the count must still cover them
+    rng = np.random.Generator(np.random.Philox(np.uint64(14)))
+    for _ in range(20):
+        n, edges = random_connected_graph(rng, n_max=30)
+        g = build_boundary_graph(n, edges, random_boundary(rng, n, min_size=2))
+        nb = len(g.boundary)
+        count = _check_dense_size(n, nb, laplacian(g).nnz)
+        for call in (steklov_spectrum, dtn_matrix, lambda g: lambda_k(g, nb - 1)):
+            assert _traced_peak(call, g) <= count
+
+
+def test_full_spectrum_holds_one_boundary_square_and_the_workspace():
+    # |B| = 1600 > 3 * 512: S is eigensolved in place and its eigenvectors
+    # are the eigenfunctions, so the peak is S plus dsyevd's 2|B|^2
+    g = gen_torus(40, 40)
+    nb = len(g.boundary)
+    assert nb > 3 * _RESID_BLOCK
+    assert _traced_peak(steklov_spectrum, g) <= 3.1 * 8 * nb * nb
+
+
+def test_interior_extension_is_checked(monkeypatch):
+    # One solved column off by 1e-6 leaves a symmetric, self-consistent S,
+    # so only the interior rows (L F)_I of the returned extension expose it.
+    rg = gen_torus(25, 25)
+    g = build_boundary_graph(rg.n, rg.edges, range(0, rg.n, 2))
+    original = spectrum_module._ldl
+
+    class OffByOneColumn:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            x[:, 0] += 1e-6
+            return x
+
+    monkeypatch.setattr(spectrum_module, "_ldl",
+                        lambda *args, **kwargs: OffByOneColumn(original(*args, **kwargs)))
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        steklov_spectrum(g)
+
+
 @pytest.mark.parametrize("step", [1, 2])
 def test_eigensolve_residual_is_checked(step, monkeypatch):
     # 625 vertices: with full boundary (step 1) the sparse check runs over
     # two column blocks, and the corrupted eigenvector sits in the second;
-    # step 2 takes the dense route through the Schur complement.
+    # with step 2 the same check on L F sees the boundary rows S Q - Q w of
+    # the Schur complement's eigenvectors.
     rg = gen_torus(25, 25)
     g = build_boundary_graph(rg.n, rg.edges, range(0, rg.n, step))
     eigh = scipy.linalg.eigh
