@@ -23,8 +23,12 @@ and is the only description of it (``dart_face`` is indexed by its ids).
 
 What does not depend on the boundary (components, the neighbour CSR, the
 dart arrays, faces, the dart-to-face index, the Laplacian and its diagonal
-index) is computed once per graph, cached on it and carried to the copies
-:func:`with_boundary` makes; :func:`build_rotation_graph` traces the faces.
+index, the grounded factor that resistance keeps, and the radii, centers,
+residual and outer face of a circle packing) is computed once per graph,
+cached on it and carried to the copies :func:`with_boundary` makes;
+:func:`build_rotation_graph` traces the faces.  Functions that take "a
+graph" accept either kind and read the :class:`BoundaryGraph` through
+:func:`_base`.
 """
 
 from __future__ import annotations
@@ -363,9 +367,16 @@ def _canonical_boundary(boundary: Iterable[int], n: int) -> np.ndarray:
     return np.unique(values)
 
 
-# ``_grounded`` is the factor of the grounded Laplacian that resistance keeps.
+# ``_grounded`` is the factor of the grounded Laplacian that resistance keeps,
+# ``_packing`` the boundary-free part of :func:`packing.circle_pack`'s result.
 _CARRIED = ("neighbors", "edge_set", "edge_array", "degrees", "components",
-            "_adjacency", "_laplacian", "_grounded", "_darts", "faces", "dart_face")
+            "_adjacency", "_laplacian", "_grounded", "_darts", "faces", "dart_face",
+            "_packing")
+
+
+def _base(g) -> BoundaryGraph:
+    """The BoundaryGraph of a BoundaryGraph or RotationGraph."""
+    return g.base if isinstance(g, RotationGraph) else g
 
 
 def with_boundary(g, boundary: Iterable[int]):
@@ -374,7 +385,7 @@ def with_boundary(g, boundary: Iterable[int]):
     The edges of ``g`` are canonical already; only the boundary is validated.
     The caches named in ``_CARRIED`` carry over; ``interior`` is re-derived.
     """
-    base = g.base if isinstance(g, RotationGraph) else g
+    base = _base(g)
     new_base = replace(base, boundary=tuple(_canonical_boundary(boundary, base.n).tolist()))
     out = replace(g, base=new_base) if isinstance(g, RotationGraph) else new_base
     for old, new in ((base, new_base), (g, out)):
@@ -448,8 +459,9 @@ def build_rotation_graph(g: BoundaryGraph,
     return rg
 
 
-def laplacian(g: BoundaryGraph) -> scipy.sparse.csr_matrix:
-    """Combinatorial Laplacian L = D - A as a scipy CSR matrix, at every size.
+def laplacian(g) -> scipy.sparse.csr_matrix:
+    """Combinatorial Laplacian L = D - A of a BoundaryGraph or RotationGraph
+    as a scipy CSR matrix, at every size.
 
     Row sums are exactly zero (integer-valued arithmetic in float64).  Every
     row stores its diagonal, also the 0 of an isolated vertex; the matrix
@@ -457,7 +469,7 @@ def laplacian(g: BoundaryGraph) -> scipy.sparse.csr_matrix:
     once per graph, cached on it and shared with its :func:`with_boundary`
     copies, so its arrays are read-only: copy it before changing it.
     """
-    return g._laplacian
+    return _base(g)._laplacian
 
 
 def trace_faces(rg: RotationGraph) -> tuple[tuple[int, ...], ...]:

@@ -5,20 +5,20 @@ face is treated as the outer boundary with its radii pinned to 1, damped
 Newton on the log-radii of the other vertices makes the angle sum at every
 interior vertex 2*pi (a convex problem, by Colin de Verdière's variational
 principle; each step factors the Jacobian with the package's one sparse
-factorization, ``spectrum._ldl``), and centers are then laid out face by
-face, walking the dart arrays of the rotation graph.  The centers lift
-to the unit sphere by inverse stereographic projection, a Möbius
-transformation found by damped Newton on the ball point it sends to the
-origin recenters the boundary points, and the resulting unit vectors feed
-the vector-valued Rayleigh quotient, giving a certified upper bound for the
-second Steklov eigenvalue.
+factorization, ``spectrum._ldl``), and centers are then laid out on the
+dart arrays of the rotation graph, one breadth-first level of faces at a
+time.  The packing depends on the rotation system alone, so it is computed
+once per graph and shared by every boundary.  The centers lift to the unit
+sphere by inverse stereographic projection, a Möbius transformation found
+by damped Newton on the ball point it sends to the origin recenters the
+boundary points, and the resulting unit vectors feed the vector-valued
+Rayleigh quotient, giving a certified upper bound for the second Steklov
+eigenvalue.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse
@@ -32,7 +32,7 @@ from .errors import (
     NotTriangulated,
     TooSmall,
 )
-from .graphs import RotationGraph, is_connected, with_boundary
+from .graphs import RotationGraph, _frozen, is_connected, with_boundary
 from .spectrum import _ldl, lambda_k, vector_rayleigh_bound
 
 # Newton converges quadratically, so it is run to near roundoff rather than
@@ -51,7 +51,11 @@ class CirclePacking:
     """Radii and planar centers realizing a triangulation by tangencies.
 
     ``residual`` is the max over interior vertices of |angle sum - 2*pi|;
-    ``outer_face`` lists the pinned (radius 1) vertices.
+    ``outer_face`` lists the pinned (radius 1) vertices.  The arrays are
+    read-only: they are computed once per rotation system and shared by
+    every :func:`circle_pack` call on the graph, and on the copies
+    :func:`graphs.with_boundary` makes of it after the call.  Only
+    ``boundary`` is the graph's own.
     """
 
     radii: np.ndarray
@@ -87,10 +91,27 @@ def circle_pack(rg: RotationGraph) -> CirclePacking:
     their logarithms: each step solves J du = 2*pi - theta with the sparse
     angle-sum Jacobian J (the Hessian of Colin de Verdière's functional,
     symmetric up to roundoff), factored by ``spectrum._ldl``, and halves
-    the step until the max angle defect drops.  More than one big face raises NotTriangulated, positive genus
-    NonzeroGenus, a disconnected graph Disconnected, and an angle-sum
-    residual that will not drop below 1e-8 ConvergenceFailure.
+    the step until the max angle defect drops.  More than one big face
+    raises NotTriangulated, positive genus NonzeroGenus, a disconnected
+    graph Disconnected, and an angle-sum residual that will not drop below
+    1e-8 ConvergenceFailure.
+
+    The packing does not depend on the boundary, so it is computed on the
+    graph's first call and kept on it (its :func:`graphs.with_boundary`
+    copies carry it); later calls only attach the graph's boundary.  A
+    packing that fails is not kept and raises again on every call.
     """
+    cache = rg.__dict__
+    if "_packing" not in cache:
+        cache["_packing"] = _pack(rg)
+    radii, centers, residual, outer = cache["_packing"]
+    return CirclePacking(radii=radii, centers=centers, residual=residual,
+                         boundary=rg.boundary, outer_face=outer)
+
+
+def _pack(rg: RotationGraph) -> tuple:
+    """(radii, centers, residual, outer face) of :func:`circle_pack`, the
+    arrays read-only."""
     if not is_connected(rg.base):
         raise Disconnected("circle packing needs a connected graph")
     faces = rg.faces
@@ -167,27 +188,27 @@ def circle_pack(rg: RotationGraph) -> CirclePacking:
         residual = err
 
     centers = _layout(rg, outer_pos, radii)
-    return CirclePacking(
-        radii=radii,
-        centers=centers,
-        residual=residual,
-        boundary=rg.boundary,
-        outer_face=outer,
-    )
+    return (*_frozen(radii, centers), residual, outer)
 
 
 def _layout(rg: RotationGraph, outer_pos: int, radii) -> np.ndarray:
-    """Breadth-first placement of centers over the faces inside the outer one.
+    """Centers over the faces inside the outer one, placed by breadth-first
+    search of the dual graph one level at a time.
 
     Each face is laid out in its traced cyclic order with the same turning
     sign, which keeps adjacent apexes on opposite sides of their shared
     edge; the angle sums being 2*pi makes the placements globally
-    consistent.  It walks darts: the apex across dart g is ``head[next[g]]``.
+    consistent.  The search walks darts: dart g = (p, q) enters the face
+    across it, whose apex is ``head[next[g]]``, and p and q lie on the
+    level before.  A level's faces are entered in queue order, each by its
+    first dart, and an apex not yet placed is placed from the first of them
+    that has it.
     """
-    rev, nxt, face = rg._darts.rev.tolist(), rg._darts.next.tolist(), rg.dart_face.tolist()
-    head = list(chain.from_iterable(rg.rotation))
-    tail = list(map(head.__getitem__, rev))
-    first = np.unique(rg.dart_face, return_index=True)[1].tolist()  # where each face walk starts
+    darts, face = rg._darts, rg.dart_face
+    rev, nxt = darts.rev, darts.next
+    tail = np.repeat(np.arange(rg.n), np.diff(darts.offsets))
+    head = tail[rev]
+    first = np.unique(face, return_index=True)[1]  # where each face walk starts
 
     d = first[outer_pos]
     for _ in rg.faces[outer_pos]:
@@ -198,40 +219,37 @@ def _layout(rg: RotationGraph, outer_pos: int, radii) -> np.ndarray:
         raise Disconnected("no triangle is adjacent to the outer face")
 
     centers = np.full((rg.n, 2), np.nan)
-    g = rev[d]
-    p, q = tail[g], head[g]
+    g = rev[d:d + 1]
+    p, q = tail[g[0]], head[g[0]]
     centers[p] = (0.0, 0.0)
     centers[q] = (radii[p] + radii[q], 0.0)
-    _place_apex(p, q, head[nxt[g]], centers, radii)
+    visited = np.zeros(len(rg.faces), dtype=bool)
+    visited[outer_pos] = True
+    while g.size:
+        level = face[g]
+        visited[level] = True
+        s = head[nxt[g]]
+        keep = np.sort(np.unique(s, return_index=True)[1])
+        keep = keep[np.isnan(centers[s[keep], 0])]
+        g, s = g[keep], s[keep]
+        p, q = tail[g], head[g]
+        alpha = _wedge_angles(radii[p], radii[q], radii[s])
+        u = centers[q] - centers[p]
+        u /= np.hypot(u[:, 0], u[:, 1])[:, None]
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        direction = np.stack([ca * u[:, 0] - sa * u[:, 1], sa * u[:, 0] + ca * u[:, 1]], axis=1)
+        centers[s] = centers[p] + (radii[p] + radii[s])[:, None] * direction
 
-    visited = {face[g]}
-    queue = deque(visited)
-    while queue:
-        d = first[queue.popleft()]
-        for _ in range(3):
-            g, d = rev[d], nxt[d]
-            if face[g] in visited or face[g] == outer_pos:
-                continue
-            visited.add(face[g])
-            s = head[nxt[g]]
-            if np.isnan(centers[s]).any():
-                _place_apex(tail[g], head[g], s, centers, radii)
-            queue.append(face[g])
+        ring = first[level]
+        g = rev[np.stack([ring, nxt[ring], nxt[nxt[ring]]], axis=1).ravel()]
+        g = g[~visited[face[g]]]
+        g = g[np.sort(np.unique(face[g], return_index=True)[1])]
 
-    if len(visited) != len(rg.faces) - 1 or np.isnan(centers).any():
+    if not visited.all() or np.isnan(centers).any():
         raise Disconnected(
             "faces other than the outer one do not form a connected layout"
         )
     return centers
-
-
-def _place_apex(p, q, s, centers, radii):
-    alpha = _wedge_angles(radii[p], radii[q], radii[s])
-    u = centers[q] - centers[p]
-    u /= np.hypot(u[0], u[1])
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    direction = np.array([ca * u[0] - sa * u[1], sa * u[0] + ca * u[1]])
-    centers[s] = centers[p] + (radii[p] + radii[s]) * direction
 
 
 def lift_to_sphere(cp: CirclePacking) -> SphereConfiguration:
@@ -329,10 +347,14 @@ def certify_planar_bound(rg: RotationGraph, boundary=None) -> dict:
     broken and raises ConvergenceFailure), and the 8*D/|boundary|
     comparison value with a flag saying whether the geometric bound beats
     it.
+
+    The packing is that of ``rg`` itself, so it is computed once per graph
+    and shared by every boundary certified on it; the lift is recentered
+    over the boundary certified, ``boundary`` when it is given.
     """
     g2 = with_boundary(rg, boundary) if boundary is not None else rg
-    cp = circle_pack(g2)
-    sc = mobius_normalize(lift_to_sphere(cp))
+    cp = circle_pack(rg)
+    sc = mobius_normalize(lift_to_sphere(cp), g2.boundary)
     b_geom = vector_rayleigh_bound(g2, sc.points)
     lam2 = lambda_k(g2, 2)
     nb = len(g2.boundary)

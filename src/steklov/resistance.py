@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConvergenceFailure, Disconnected, SameVertex, TooSmall
 from .graphs import (
     RotationGraph,
+    _base,
     _check_int,
     _check_vertex,
     _seeded_rng,
@@ -89,7 +90,7 @@ def effective_resistance(g, u, v) -> ResistanceResult:
     connected; a disagreement between the two routes beyond 1e-9 relative
     raises ConvergenceFailure.
     """
-    base = g.base if isinstance(g, RotationGraph) else g
+    base = _base(g)
     u = _check_vertex(u, base.n, "u")
     v = _check_vertex(v, base.n, "v")
     if u == v:

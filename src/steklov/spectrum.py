@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
     ZeroBoundaryNorm,
 )
-from .graphs import BoundaryGraph, RotationGraph, _check_int, _seeded_rng, laplacian
+from .graphs import BoundaryGraph, _base, _check_int, _seeded_rng, laplacian
 
 # Relative residual allowed for the symmetric eigensolves.
 _EIG_TOL = 1e-9
@@ -98,10 +98,6 @@ class SteklovSpectrum:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     boundary: tuple[int, ...]
-
-
-def _base(g) -> BoundaryGraph:
-    return g.base if isinstance(g, RotationGraph) else g
 
 
 def _check_interior_reaches_boundary(g: BoundaryGraph) -> int:
@@ -317,10 +313,13 @@ def _lanczos_lambdas(L, bidx: np.ndarray, sigma: float, k: int):
 
     op = scipy.sparse.linalg.LinearOperator(
         (nb, nb), matvec=apply, matmat=apply, dtype=float)
-    # A fixed start vector keeps the output byte-deterministic.
-    v0 = _seeded_rng(0).standard_normal(nb)
+    # A fixed start vector, and the same seeded stream for the vectors ARPACK
+    # draws when it restarts after an invariant subspace (as it does in a
+    # multiple eigenvalue), keep the output byte-deterministic.
+    rng = _seeded_rng(0)
     try:
-        nu, X = scipy.sparse.linalg.eigsh(op, k=k + 1, which="LA", tol=0, v0=v0)
+        nu, X = scipy.sparse.linalg.eigsh(op, k=k + 1, which="LA", tol=0,
+                                          v0=rng.standard_normal(nb), rng=rng)
     except scipy.sparse.linalg.ArpackNoConvergence:
         return None
     lam = sigma + 1.0 / nu

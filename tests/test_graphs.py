@@ -24,6 +24,7 @@ from steklov import (
     build_rotation_graph,
     certify_planar_bound,
     chain_bound,
+    circle_pack,
     gen_genus,
     gen_sphere,
     gen_torus,
@@ -276,13 +277,15 @@ def test_pickles_carry_the_dataclass_fields_only(warm):
     rg = octahedron()
     if warm:  # fill the caches that are built on demand
         rg.dart_face, rg.base.neighbors, rg.base.components, laplacian(rg.base)
+        circle_pack(rg)
     copy = pickle.loads(pickle.dumps(rg))
     assert set(copy.__dict__) == {"base", "rotation"}
     assert set(copy.base.__dict__) == {"n", "edges", "boundary"}
     assert copy == rg
     for g in (copy, with_boundary(copy, [0, 1])):
+        cp = circle_pack(g)
         for a in (g.base.edge_array, *g.base._adjacency, *g._darts, g.dart_face,
-                  laplacian(g.base).data):
+                  laplacian(g.base).data, cp.radii, cp.centers):
             with pytest.raises(ValueError):
                 a[0] = a[0]
 
@@ -293,12 +296,17 @@ def test_with_boundary_carries_boundary_free_caches():
     faces, darts = g.faces, g.dart_face
     assert darts.tolist() == by_dart_id(g, reference_faces(g.rotation)[1])
     assert is_connected(g.base)
+    cp = circle_pack(g)
     other = list(range(0, g.n, 3))
     h = with_boundary(g, other)
     assert h.base.interior == tuple(v for v in range(g.n) if v % 3)
     assert h.faces is faces
     assert h.dart_face is darts
     assert h.base.components is g.base.components
+    assert laplacian(h) is laplacian(h.base)
+    hp = circle_pack(h)
+    assert hp.radii is cp.radii and hp.centers is cp.centers
+    assert hp.boundary == tuple(other) and cp.boundary == g.boundary
     expected = spectrum_oracle(g.n, g.edges, other)[1]
     assert lambda_k(h, 2) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 

@@ -1,5 +1,6 @@
 """Circle packings, sphere lifts, Mobius centering, and the planar certificate."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -161,9 +162,42 @@ def test_newton_steps_factor_through_ldl(build, monkeypatch):
     assert tangency_error(cp, rg.edges) <= 1e-7
 
 
+# sha256 of the centers' bytes: the layout is fixed bit for bit.
+@pytest.mark.parametrize("build,digest", [
+    (lambda: gen_sphere(3), "ec9ed19fa4d8289864adae9245389def87ce53cbe680348fb3a4e138b49cb0b8"),
+    (lambda: stacked_triangulation(np.random.Generator(np.random.Philox(0)), 300),
+     "4ca0e52c186aa0fcf44ef0d8aa794c0beafeb28eeeff2b5e5d8ac175b8c204ef"),
+    (lambda: wheel(9), "5b8a7be22d7bc0c46758db6f07feccff914ffa8da2414ac949562daf47be8519"),
+], ids=["sphere3", "stacked300", "wheel9"])
+def test_packing_centers_are_pinned(build, digest):
+    assert hashlib.sha256(circle_pack(build()).centers.tobytes()).hexdigest() == digest
+
+
+def test_certificates_share_one_packing_per_graph(monkeypatch):
+    rg = gen_sphere(2)
+    rng = np.random.Generator(np.random.Philox(3))
+    half = sorted(rng.choice(rg.n, rg.n // 2, replace=False).tolist())
+    factored = []
+    original = packing_module._ldl
+
+    def counted(J):
+        factored.append(J.shape)
+        return original(J)
+
+    monkeypatch.setattr(packing_module, "_ldl", counted)
+    full = certify_planar_bound(rg)
+    first = len(factored)
+    part = certify_planar_bound(rg, half)
+    assert first >= 1 and len(factored) == first
+    assert repr(full) == repr(certify_planar_bound(gen_sphere(2)))
+    assert repr(part) == repr(certify_planar_bound(gen_sphere(2), half))
+
+
 def test_pack_input_validation():
-    with pytest.raises(NonzeroGenus):
-        circle_pack(gen_torus(3, 3))
+    torus = gen_torus(3, 3)
+    for _ in range(2):  # a failed packing is not kept
+        with pytest.raises(NonzeroGenus):
+            circle_pack(torus)
 
     cyc = build_boundary_graph(6, [(i, (i + 1) % 6) for i in range(6)], [0])
     cyc = build_rotation_graph(cyc, [[(i + 1) % 6, (i - 1) % 6] for i in range(6)])

@@ -6,8 +6,12 @@ np.linalg.solve + eigvalsh) and then frozen.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,23 @@ def test_components_give_exact_zeros():
     assert lambda_k(g, 2) == 0.0
     assert lambda_k(g, 3) == pytest.approx(3.0, abs=1e-9)
     assert steklov_spectrum(g).eigenvalues[1] == 0.0
+
+
+def test_lambda_k_is_bit_reproducible(tmp_path):
+    # lambda_2 = lambda_3 = 3 - sqrt(5) of the 10 x 10 torus has six copies,
+    # so ARPACK meets an invariant subspace and draws restart vectors: one
+    # repr in one process and across fresh ones
+    src = str(Path(spectrum_module.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "from steklov import gen_torus, lambda_k; print(repr(lambda_k(gen_torus(10, 10), 3)))"
+    reprs = {repr(lambda_k(gen_torus(10, 10), 3)) for _ in range(10)}
+    for _ in range(2):
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             cwd=tmp_path, env=env, check=True)
+        reprs.add(run.stdout.strip())
+    assert len(reprs) == 1
+    assert float(reprs.pop()) == pytest.approx(3.0 - math.sqrt(5.0), rel=1e-12)
 
 
 def test_lambda2_of_torus_at_the_vertex_cap():
