@@ -4,7 +4,7 @@ Subcommands operate on the JSON graph format (see ``harness``):
 
     spectrum <file> [--k K]      eigenvalues (or just the K-th)
     dtn <file>                   Dirichlet-to-Neumann matrix rows
-    resist <file> --u U --v V    effective resistance + route discrepancy
+    resist <file> --u U --v V    effective resistance + route agreement tolerance
     subdivide <file> --k K       hexagonal refinement, JSON to stdout
     immerse <file> --k K --seed S   random immersion comparison summary
     pack <file> [--svg out.svg]  circle packing residual (optional figure)
@@ -20,9 +20,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConvergenceError, SteklovError, ValidationError
-from .graphs import RotationGraph, genus
-from .harness import (
+from ..errors import ConvergenceError, SteklovError, ValidationError
+from ..graphs import RotationGraph, genus
+from ..harness import (
     _enforce_cap,
     document_to_graph,
     gen_genus,
@@ -39,11 +39,11 @@ from .harness import (
     sweep_svg,
     tetrahedron,
 )
-from .immersion import comparison_bound, random_immersion
-from .packing import certify_planar_bound, circle_pack, packing_svg
-from .refine import boundary_growth, refine
-from .resistance import effective_resistance
-from .spectrum import dtn_matrix, lambda_k, steklov_spectrum
+from ..immersion import comparison_bound, random_immersion
+from ..packing import certify_planar_bound, circle_pack, packing_svg
+from ..refine import boundary_growth, refine
+from ..resistance import _AGREE_TOL, effective_resistance
+from ..spectrum import dtn_matrix, lambda_k, steklov_spectrum
 
 
 class _UsageError(Exception):
@@ -99,7 +99,7 @@ def _cmd_dtn(args) -> int:
 
 def _cmd_resist(args) -> int:
     res = effective_resistance(_load(args.file), args.u, args.v)
-    print(f"{res.r_steklov:.12g} {res.discrepancy:.3g}")
+    print(f"{res.r_steklov:.12g} {_AGREE_TOL:g}")
     return 0
 
 
@@ -267,7 +267,3 @@ def cli(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(cli(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    entry()

@@ -1,6 +1,7 @@
-"""Release gates for the package, one test per criterion.
+"""Release gates for the package, one test per criterion, and the
+hash-seed gate beside criterion 9.
 
-Each test prints exactly one summary line — ``[criterion N] PASS/FAIL ...``
+Each criterion prints exactly one summary line — ``[criterion N] PASS/FAIL ...``
 — with the measured quantities and elapsed time, then asserts.  Run with
 ``pytest -sv tests/test_acceptance.py`` to see the report lines inline.
 """
@@ -26,15 +27,18 @@ from steklov import (
     gen_sphere,
     gen_torus,
     genus,
+    graph_to_document,
     icosahedron,
     mobius_normalize,
     octahedron,
     records_to_csv,
     refine,
+    serialize_document,
     steklov_spectrum,
     sweep_main_bound,
     tetrahedron,
     trace_faces,
+    with_boundary,
 )
 
 from helpers import (
@@ -312,3 +316,51 @@ def test_criterion_9_byte_determinism(tmp_path):
     _report(9, "byte-identical reruns", ok,
             f"sweep CSV ({len(runs[0][3])} bytes) and generated JSON "
             f"({len(runs[0][4])} bytes) identical across two fresh processes")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Each command runs twice, in fresh processes under different
+    # PYTHONHASHSEED values, and must print and write the same bytes: the
+    # benchmark's fresh-process commands on small inputs, Lanczos on the
+    # torus's multiple eigenvalue, the dense finish of lambda_k (k = |B|)
+    # and the two resistance routes.
+    sphere2 = gen_sphere(2)
+    quarter = sorted(np.random.Generator(np.random.Philox(9)).choice(
+        sphere2.n, sphere2.n // 4, replace=False).tolist())
+    inputs = {"sphere1": gen_sphere(1), "sphere2": sphere2, "octahedron": octahedron(),
+              "torus10": gen_torus(10, 10), "quarter": with_boundary(sphere2, quarter)}
+    for name, g in inputs.items():
+        (tmp_path / f"{name}.json").write_text(serialize_document(graph_to_document(g)))
+    commands = [
+        ["spectrum", "sphere2.json", "--k", "2"],
+        ["certify-planar", "sphere1.json"],
+        ["immerse", "octahedron.json", "--k", "2", "--seed", "0"],
+        ["sweep", "--gmax", "3", "--res", "5", "--csv", "out.csv", "--svg", "out.svg"],
+        ["subdivide", "sphere1.json", "--k", "1"],
+        ["spectrum", "torus10.json", "--k", "3"],
+        ["spectrum", "quarter.json", "--k", str(len(quarter))],
+        ["resist", "torus10.json", "--u", "17", "--v", "55"],
+    ]
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys; from steklov.cli import cli; sys.exit(cli(sys.argv[1:]))"
+    for argv in commands:
+        runs = {}
+        for seed in ("1", "2"):
+            cwd = tmp_path / f"hash{seed}"
+            cwd.mkdir(exist_ok=True)
+            runs[seed] = (cwd, subprocess.Popen(
+                [sys.executable, "-c", code, *[f"../{a}" if a.endswith(".json") else a
+                                               for a in argv]],
+                cwd=cwd, env=dict(env, PYTHONHASHSEED=seed),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        outs = []
+        for cwd, proc in runs.values():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+            written = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+            outs.append((out, written))
+            for f in cwd.iterdir():
+                f.unlink()
+        assert outs[0] == outs[1], argv

@@ -68,6 +68,14 @@ def test_resist_output(p3_file, capsys):
     assert float(disc) <= 1e-9
 
 
+def test_resist_prints_the_agreement_tolerance(tmp_path, capsys):
+    # the second column is the tolerance the routes met, not their roundoff
+    path = write_doc(tmp_path, "torus.json", graph_to_document(gen_torus(10, 10)))
+    for u, v in ((0, 1), (17, 55), (3, 98), (42, 57), (99, 0)):
+        assert cli(["resist", path, "--u", str(u), "--v", str(v)]) == 0
+        assert capsys.readouterr().out.split()[1] == "1e-09"
+
+
 def test_gen_then_spectrum_pipeline(tmp_path, capsys):
     out = str(tmp_path / "t33.json")
     assert cli(["gen", "torus", "3", "3", "-o", out]) == 0
@@ -219,3 +227,4 @@ def test_module_invocation_runs_the_cli(module, tmp_path, capsys):
                          capture_output=True, cwd=tmp_path, env=env)
     assert run.returncode == 0
     assert run.stdout == want.encode()
+    assert run.stderr == b""
