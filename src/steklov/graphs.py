@@ -11,9 +11,10 @@ construct them through :func:`build_boundary_graph` /
 :func:`build_rotation_graph`, which normalise and validate on NumPy index
 arrays: the edges as one (E, 2) int64 array, checked and put in canonical
 order with one sort, and the rotation as one flat array of its rings,
-checked against the neighbour CSR with one sort.  On bad input only the
-first offending element, in input order, goes through the scalar rule
-(:func:`_check_int`) that words the error.
+checked against the neighbour CSR with one sort.  They are the only edge
+and boundary rules (documents are parsed through them); on bad input only
+the first offending element, in input order, goes through the scalar rule
+(:func:`_check_edge`, :func:`_check_int`) that words the error.
 
 Darts are laid out in CSR order over ``rotation``: dart ``d`` is the d-th
 entry of the concatenated rings, so the darts of ``v`` are ``(v, w)`` for
@@ -237,13 +238,18 @@ def _check_vertex(x, n: int, what: str) -> int:
     return _check_int(x, what, 0, n, IndexOutOfRange)
 
 
+def _first_non_int(items: list) -> int:
+    """Index of the first item whose type :func:`_check_int` refuses, else ``len(items)``."""
+    bad = {t for t in set(map(type, items))
+           if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
+    return list(map(bad.__contains__, map(type, items))).index(True) if bad else len(items)
+
+
 def _vertex_array(items: list, n: int) -> tuple[np.ndarray, int]:
     """``items`` as an int64 array, and the index of the first item that
     :func:`_check_int` refuses as a vertex of ``[0, n)`` (``len(items)``
     when none does).  The array is only meaningful before that index."""
-    bad = {t for t in set(map(type, items))
-           if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
-    stop = list(map(bad.__contains__, map(type, items))).index(True) if bad else len(items)
+    stop = _first_non_int(items)
     values = _int64(items[:stop])
     out = np.flatnonzero((values < 0) | (values >= n))
     return values, int(out[0]) if out.size else stop
@@ -256,15 +262,6 @@ def _int64(items: list) -> np.ndarray:
         return np.array(items, dtype=np.int64)
     except OverflowError:
         return np.array([x if -2**63 <= x < 2**63 else -1 for x in items], dtype=np.int64)
-
-
-def _sorted_rows(pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Stable lexicographic order of the rows of an (R, 2) array, and the
-    input index of the first row equal to an earlier one (R if none)."""
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    ranked = pairs[order]
-    repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
-    return order, int(repeats.min()) if repeats.size else len(pairs)
 
 
 def _objects(values: np.ndarray, pool: dict) -> list:
@@ -294,11 +291,14 @@ def _seeded_rng(seed) -> np.random.Generator:
 
 
 def _check_edge(e, n: int) -> tuple[int, int]:
-    """The scalar rule for one edge; words the error for the first offender."""
-    if len(e) != 2:
+    """The scalar rule for one edge; words the error for the first offender.
+    The endpoints are read by iteration, as :func:`_edge_rows` reads them."""
+    ends = ()
+    with suppress(TypeError):  # a row without a length is no pair
+        ends = tuple(e) if len(e) == 2 else ()
+    if len(ends) != 2:
         raise SelfLoop(f"edge {e!r}: expected exactly two endpoints")
-    u = _check_vertex(e[0], n, f"edge {tuple(e)!r}")
-    v = _check_vertex(e[1], n, f"edge {tuple(e)!r}")
+    u, v = (_check_vertex(x, n, f"edge {ends!r}") for x in ends)
     if u == v:
         raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
     return u, v
@@ -340,18 +340,19 @@ def build_boundary_graph(
     n = _check_int(n, "vertex count", 1, error=IndexOutOfRange)
     rows, pairs = _edge_rows(edges, n)
     canon = np.sort(pairs, axis=1)
-    order, first = _sorted_rows(canon)
+    order = np.lexsort((canon[:, 1], canon[:, 0]))  # stable: a repeat follows its original
+    ranked = canon[order]
+    repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
     loops = np.flatnonzero(canon[:, 0] == canon[:, 1])
-    first = min(first, len(pairs), int(loops[0]) if loops.size else first)
+    first = int(np.concatenate(([len(pairs)], repeats, loops)).min())
     if first < len(rows):
         u, v = _check_edge(rows[first], n)  # raises unless the row is a repeat
         raise DuplicateEdge(f"edge {(min(u, v), max(u, v))} listed more than once")
-    canon = canon[order]
     pool: dict[int, int] = {}
-    ends = _objects(canon.ravel(), pool)
+    ends = _objects(ranked.ravel(), pool)
     g = BoundaryGraph(n=n, edges=tuple(zip(ends[0::2], ends[1::2])),
                       boundary=tuple(_objects(_canonical_boundary(boundary, n), pool)))
-    g.__dict__["edge_array"] = _frozen(canon)[0]
+    g.__dict__["edge_array"] = _frozen(ranked)[0]
     return g
 
 
@@ -394,8 +395,13 @@ def with_boundary(g, boundary: Iterable[int]):
 
 
 def _flatten(rings: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The rings as one int64 array and their lengths; refuses non-integers."""
     lens = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
-    return _int64(list(chain.from_iterable(rings))), lens
+    items = list(chain.from_iterable(rings))
+    if (bad := _first_non_int(items)) < len(items):
+        at = f"rotation at vertex {np.searchsorted(np.cumsum(lens), bad, side='right')}"
+        _check_int(items[bad], at, 0, error=MalformedRotation)
+    return _int64(items), lens
 
 
 def _dart_layout(g: BoundaryGraph, flat: np.ndarray, lens: np.ndarray) -> _Darts:
@@ -439,18 +445,16 @@ def build_rotation_graph(g: BoundaryGraph,
                          rotation: Iterable[Iterable[int]] | np.ndarray) -> RotationGraph:
     """Attach a rotation system to ``g`` after validating it.
 
-    ``rotation[v]`` must be a permutation of the neighbours of ``v``
-    (MalformedRotation otherwise).  An (n, d) integer array gives every
-    vertex a ring of d neighbours.
+    ``rotation[v]`` must be a permutation of the neighbours of ``v``, given
+    as integers (MalformedRotation otherwise).  An (n, d) integer array
+    gives every vertex a ring of d neighbours.
     """
     if isinstance(rotation, np.ndarray) and rotation.dtype.kind in "iu" and rotation.ndim == 2:
-        flat = rotation.astype(np.int64).ravel()
-        darts = _dart_layout(g, flat, np.full(len(rotation), rotation.shape[1]))
-        rot = _rings(flat, darts.offsets)
+        flat, lens = rotation.astype(np.int64).ravel(), np.full(len(rotation), rotation.shape[1])
     else:
-        rot = tuple(tuple(map(int, ring)) for ring in rotation)
-        darts = _dart_layout(g, *_flatten(rot))
-    rg = RotationGraph(base=g, rotation=rot)
+        flat, lens = _flatten(list(map(tuple, rotation)))
+    darts = _dart_layout(g, flat, lens)
+    rg = RotationGraph(base=g, rotation=_rings(flat, darts.offsets))
     rg.__dict__["_darts"] = darts
     # Orientable maps always have even Euler characteristic; cheap sanity net.
     chi = g.n - len(g.edges) + len(rg.faces)

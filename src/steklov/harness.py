@@ -18,7 +18,9 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .graphs import (
     RotationGraph,
     _check_int,
     _seeded_rng,
-    _sorted_rows,
     _vertex_array,
     build_boundary_graph,
     build_rotation_graph,
@@ -86,26 +87,41 @@ class GraphDocument:
     rotation: tuple[tuple[int, ...], ...] | None = None
     meta: dict | None = None
 
+    @cached_property
+    def _graph(self) -> BoundaryGraph:
+        """The graph without rotation; :func:`parse_document` validates by it."""
+        return build_boundary_graph(self.n, self.edges, self.boundary)
 
-def _first_not_list(rows: list, width: int | None = None) -> int:
-    """Index of the first entry that is not a list (of ``width`` entries,
-    when given); ``len(rows)`` when there is none."""
-    is_list = list(map(isinstance, rows, repeat(list)))
-    stop = is_list.index(False) if not all(is_list) else len(rows)
-    if width is not None:
-        lens = np.fromiter(map(len, rows[:stop]), dtype=np.int64, count=stop)
-        wrong = np.flatnonzero(lens != width)
-        stop = int(wrong[0]) if wrong.size else stop
-    return stop
+
+def _first_offender(n: int, raw_edges: list, raw_boundary) -> NoReturn:
+    """Raise the SchemaError of the first offending edge or boundary entry,
+    in input order.  Run only on edges and boundary already refused."""
+    seen: dict[tuple[int, int], int] = {}
+    for i, e in enumerate(raw_edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise SchemaError(f"edges[{i}]: expected a pair [u, v]")
+        u, v = (_check_int(x, f"edges[{i}][{k}]", 0, n, SchemaError) for k, x in enumerate(e))
+        if u >= v:
+            raise SchemaError(f"edges[{i}]: endpoints must satisfy u < v, got {e}")
+        j = seen.setdefault((u, v), i)
+        if j < i:
+            raise SchemaError(f"edges[{i}]: duplicate of edges[{j}]")
+    if not isinstance(raw_boundary, list) or not raw_boundary:
+        raise SchemaError("boundary: expected a non-empty list")
+    for i, b in enumerate(raw_boundary):
+        _check_int(b, f"boundary[{i}]", 0, n, SchemaError)
+        if i and b <= raw_boundary[i - 1]:
+            raise SchemaError(f"boundary[{i}]: entries must be strictly increasing")
+    raise SchemaError("edges and boundary: refused, but no entry could be located")
 
 
 def parse_document(text: str) -> GraphDocument:
     """Parse and strictly validate the JSON graph format.
 
-    Edges, boundary and rotation rows are checked as arrays, with the
-    rules of :func:`build_boundary_graph`; the first violation in input
-    order is reported with its position, e.g.
-    ``edges[4]: endpoints must satisfy u < v``.
+    Edges and boundary must pass :func:`build_boundary_graph`, whose graph
+    the document keeps, with every edge ``u < v`` and the boundary strictly
+    increasing.  A refused document is walked in input order to report its
+    first violation, e.g. ``edges[4]: endpoints must satisfy u < v``.
     """
     try:
         obj = json.loads(text)
@@ -125,51 +141,30 @@ def parse_document(text: str) -> GraphDocument:
     n = _check_int(obj["n"], "n", 1, error=SchemaError)
     _enforce_cap(n, "document")
 
-    raw_edges = obj["edges"]
+    raw_edges, raw_boundary = obj["edges"], obj["boundary"]
     if not isinstance(raw_edges, list):
         raise SchemaError("edges: expected a list")
-    stop = _first_not_list(raw_edges, 2)
-    ends, bad = _vertex_array(list(chain.from_iterable(raw_edges[:stop])), n)
-    pairs = ends[: 2 * min(stop, bad // 2)].reshape(-1, 2)
-    _, first = _sorted_rows(pairs)
-    unordered = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
-    first = min(first, len(pairs), int(unordered[0]) if unordered.size else first)
-    if first < len(raw_edges):  # word the first offender's error
-        e = raw_edges[first]
-        if not isinstance(e, list) or len(e) != 2:
-            raise SchemaError(f"edges[{first}]: expected a pair [u, v]")
-        u = _check_int(e[0], f"edges[{first}][0]", 0, n, SchemaError)
-        v = _check_int(e[1], f"edges[{first}][1]", 0, n, SchemaError)
-        if u >= v:
-            raise SchemaError(f"edges[{first}]: endpoints must satisfy u < v, got {e}")
-        j = int(np.flatnonzero((pairs == (u, v)).all(axis=1))[0])
-        raise SchemaError(f"edges[{first}]: duplicate of edges[{j}]")
-
-    raw_boundary = obj["boundary"]
-    if not isinstance(raw_boundary, list) or not raw_boundary:
-        raise SchemaError("boundary: expected a non-empty list")
-    values, first = _vertex_array(raw_boundary, n)
-    values = values[:first]
-    falls = np.flatnonzero(values[1:] <= values[:-1])
-    first = int(falls[0]) + 1 if falls.size else first
-    if first < len(raw_boundary):
-        _check_int(raw_boundary[first], f"boundary[{first}]", 0, n, SchemaError)
-        raise SchemaError(f"boundary[{first}]: entries must be strictly increasing")
+    try:  # a boundary that is no list is built as empty, to be worded after the edges
+        base = build_boundary_graph(n, raw_edges,
+                                    raw_boundary if isinstance(raw_boundary, list) else [])
+    except ValidationError:
+        _first_offender(n, raw_edges, raw_boundary)
+    if not all(u < v for u, v in raw_edges) or tuple(raw_boundary) != base.boundary:
+        _first_offender(n, raw_edges, raw_boundary)
 
     rotation = None
     if "rotation" in obj and obj["rotation"] is not None:
         raw_rot = obj["rotation"]
         if not isinstance(raw_rot, list) or len(raw_rot) != n:
             raise SchemaError(f"rotation: expected a list of {n} neighbour rings")
-        stop = _first_not_list(raw_rot)
-        starts = np.cumsum([0, *map(len, raw_rot[:stop])])
-        _, bad = _vertex_array(list(chain.from_iterable(raw_rot[:stop])), n)
-        if bad < starts[-1]:
-            v = int(np.searchsorted(starts, bad, side="right")) - 1
-            i = bad - int(starts[v])
-            _check_int(raw_rot[v][i], f"rotation[{v}][{i}]", 0, n, SchemaError)
-        if stop < n:
-            raise SchemaError(f"rotation[{stop}]: expected a list")
+        rings = [ring for ring in raw_rot if isinstance(ring, list)]
+        flat = list(chain.from_iterable(rings))
+        if len(rings) < n or _vertex_array(flat, n)[1] < len(flat):
+            for v, ring in enumerate(raw_rot):  # word the first offender
+                if not isinstance(ring, list):
+                    raise SchemaError(f"rotation[{v}]: expected a list")
+                for i, w in enumerate(ring):
+                    _check_int(w, f"rotation[{v}][{i}]", 0, n, SchemaError)
         rotation = tuple(map(tuple, raw_rot))
 
     meta = None
@@ -178,9 +173,12 @@ def parse_document(text: str) -> GraphDocument:
             raise SchemaError("meta: expected an object")
         meta = obj["meta"]
 
-    return GraphDocument(n=n, edges=tuple(map(tuple, raw_edges)),
-                         boundary=tuple(raw_boundary),
-                         rotation=rotation, meta=meta)
+    # A file written from a graph lists its edges in canonical order: share them.
+    shared = all(map(tuple.__eq__, map(tuple, raw_edges), base.edges))
+    doc = GraphDocument(n, base.edges if shared else tuple(map(tuple, raw_edges)),
+                        base.boundary, rotation, meta)
+    doc.__dict__["_graph"] = base
+    return doc
 
 
 def serialize_document(doc: GraphDocument) -> str:
@@ -199,11 +197,8 @@ def serialize_document(doc: GraphDocument) -> str:
 
 def document_to_graph(doc: GraphDocument):
     """Materialize a BoundaryGraph, or a RotationGraph when the document
-    carries a rotation system."""
-    g = build_boundary_graph(doc.n, doc.edges, doc.boundary)
-    if doc.rotation is not None:
-        return build_rotation_graph(g, doc.rotation)
-    return g
+    carries a rotation system; either way on the document's one graph."""
+    return doc._graph if doc.rotation is None else build_rotation_graph(doc._graph, doc.rotation)
 
 
 def graph_to_document(g, meta: dict | None = None) -> GraphDocument:

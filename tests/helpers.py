@@ -7,11 +7,13 @@ np.linalg.solve, spectra come from np.linalg.eigvalsh, and resistance from
 np.linalg.pinv.
 """
 
+import json
+
 import numpy as np
 
 from steklov import (BoundaryGraph, DuplicateEdge, EmptyBoundary, Immersion,
-                     IndexOutOfRange, SelfLoop, build_boundary_graph,
-                     build_rotation_graph)
+                     IndexOutOfRange, SchemaError, SelfLoop, ValidationError,
+                     build_boundary_graph, build_rotation_graph)
 
 
 def dense_laplacian(n, edges):
@@ -95,6 +97,71 @@ def reference_boundary_graph(n, edges, boundary):
         adj[u].append(v)
         adj[v].append(u)
     return tuple(sorted(canon)), tuple(sorted(bset)), tuple(tuple(sorted(a)) for a in adj)
+
+
+def reference_document(text, cap=20_000):
+    """The JSON graph format written out entry by entry: returns the fields
+    (n, edges, boundary, rotation, meta) of a valid document, or raises the
+    error of the first violation, in the order keys, n, edges, boundary,
+    rotation, meta and in input order within each."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise SchemaError(f"top level: expected an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in ("n", "edges", "boundary", "rotation", "meta"):
+            raise SchemaError(f"unexpected key {key!r}")
+    for key in ("n", "edges", "boundary"):
+        if key not in obj:
+            raise SchemaError(f"missing required key {key!r}")
+
+    def integer(x, what, low, high=None):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise SchemaError(f"{what}: expected an integer, got {x!r}")
+        if x < low:
+            raise SchemaError(f"{what}: {x} is below the minimum {low}")
+        if high is not None and x >= high:
+            raise SchemaError(f"{what}: {x} is out of range (must be < {high})")
+        return x
+
+    n = integer(obj["n"], "n", 1)
+    if n > cap:
+        raise ValidationError(f"document has {n} vertices, over the cap of {cap} "
+                              "(raise STEKLOV_MAX_N to allow this)")
+    if not isinstance(obj["edges"], list):
+        raise SchemaError("edges: expected a list")
+    edges, first = [], {}
+    for i, e in enumerate(obj["edges"]):
+        if not isinstance(e, list) or len(e) != 2:
+            raise SchemaError(f"edges[{i}]: expected a pair [u, v]")
+        u = integer(e[0], f"edges[{i}][0]", 0, n)
+        v = integer(e[1], f"edges[{i}][1]", 0, n)
+        if u >= v:
+            raise SchemaError(f"edges[{i}]: endpoints must satisfy u < v, got {e}")
+        if (u, v) in first:
+            raise SchemaError(f"edges[{i}]: duplicate of edges[{first[(u, v)]}]")
+        first[(u, v)] = i
+        edges.append((u, v))
+    boundary = obj["boundary"]
+    if not isinstance(boundary, list) or not boundary:
+        raise SchemaError("boundary: expected a non-empty list")
+    for i, b in enumerate(boundary):
+        integer(b, f"boundary[{i}]", 0, n)
+        if i > 0 and b <= boundary[i - 1]:
+            raise SchemaError(f"boundary[{i}]: entries must be strictly increasing")
+    rotation = obj.get("rotation")
+    if rotation is not None:
+        if not isinstance(rotation, list) or len(rotation) != n:
+            raise SchemaError(f"rotation: expected a list of {n} neighbour rings")
+        for v, ring in enumerate(rotation):
+            if not isinstance(ring, list):
+                raise SchemaError(f"rotation[{v}]: expected a list")
+            for i, w in enumerate(ring):
+                integer(w, f"rotation[{v}][{i}]", 0, n)
+        rotation = tuple(tuple(ring) for ring in rotation)
+    meta = obj.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise SchemaError("meta: expected an object")
+    return n, tuple(edges), tuple(boundary), rotation, meta
 
 
 def reference_faces(rotation):

@@ -100,6 +100,17 @@ def test_validation_errors():
         build_boundary_graph(3, np.array([[0, 1], [0, 3]]), [0])
 
 
+def test_edge_rows_that_are_not_pairs_are_refused():
+    # a row without a length is refused as a wrong-width one is
+    with pytest.raises(SelfLoop, match="edge 7: expected exactly two endpoints"):
+        build_boundary_graph(3, [[0, 1], 7], [0])
+    with pytest.raises(SelfLoop, match="edge None: expected exactly two endpoints"):
+        build_boundary_graph(3, [None], [0])
+    # endpoints are read by iteration: a two-key mapping yields its keys
+    with pytest.raises(IndexOutOfRange, match="expected an integer, got 'a'"):
+        build_boundary_graph(3, [[0, 1], {"a": 0, "b": 1}], [0])
+
+
 def test_with_boundary_replaces_only_boundary():
     g = k4()
     g2 = with_boundary(g, [2, 3, 2])
@@ -170,6 +181,19 @@ def test_rotation_must_permute_neighbours():
     rows = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
     rg = build_rotation_graph(k4(), np.array(rows, dtype=np.int32))
     assert rg.rotation == k4_rotation().rotation and rg.faces == k4_rotation().faces
+
+
+def test_rotation_entries_must_be_integers():
+    g = build_boundary_graph(2, [(0, 1)], [0])
+    for rotation, message in (([[1.7], [0.2]], "vertex 0: expected an integer, got 1.7"),
+                              ([[True], [False]], "vertex 0: expected an integer, got True"),
+                              ([["1"], ["0"]], "vertex 0: expected an integer, got '1'"),
+                              ([[1], [0.0]], "vertex 1: expected an integer, got 0.0")):
+        with pytest.raises(MalformedRotation, match=message):
+            build_rotation_graph(g, rotation)
+    # NumPy integers are integers, stored as Python ints
+    rg = build_rotation_graph(g, [[np.int64(1)], (np.int32(0),)])
+    assert rg.rotation == ((1,), (0,)) and type(rg.rotation[1][0]) is int
 
 
 def test_k4_faces_and_genus():

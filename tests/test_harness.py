@@ -1,6 +1,7 @@
 """Generators, the JSON graph format, size caps, and the genus sweep."""
 
 import hashlib
+import json
 import logging
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from steklov import (
     CSV_HEADER,
     GraphDocument,
+    RotationGraph,
     SchemaError,
     TooSmall,
     ValidationError,
@@ -35,6 +37,8 @@ from steklov import (
 )
 import steklov.harness as harness
 from steklov.harness import _policy_boundary
+
+from helpers import reference_document
 
 
 @pytest.mark.parametrize("builder,v,e,f,deg", [
@@ -230,6 +234,122 @@ def test_schema_violations_are_located(text, fragment):
     with pytest.raises(SchemaError) as ei:
         parse_document(text)
     assert fragment in str(ei.value)
+
+
+_ODD = st.sampled_from([None, True, False, 1.5, "1", 2**70, -1, [0], {}])
+
+
+@st.composite
+def _malformed_documents(draw):
+    """A document object with at most two injected defects of each kind:
+    rows that are no list, rows of the wrong width, odd or out-of-range
+    endpoints, loops, reversed rows, repeated rows, bad boundaries and bad
+    rotations."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [list(p) for p in draw(st.lists(st.sampled_from(pairs), unique=True))] \
+        if pairs else []
+    boundary = sorted(draw(st.sets(vertex, min_size=1)))
+    rotation = draw(st.none() | st.lists(st.lists(vertex, max_size=4), min_size=n, max_size=n))
+
+    def times():  # most kinds stay clean, so that later rules are reached
+        return range(draw(st.sampled_from((0, 0, 0, 0, 0, 0, 1, 2))))
+
+    def spot(seq):
+        return draw(st.integers(0, len(seq)))
+
+    def pair_at():
+        i = draw(st.integers(0, len(edges) - 1)) if edges else None
+        return edges[i] if i is not None and isinstance(edges[i], list) \
+            and len(edges[i]) == 2 else None
+
+    for _ in times():
+        edges.insert(spot(edges), draw(_ODD | st.sampled_from([7, "ab", {"0": 1, "1": 0}])))
+    for _ in times():
+        edges.insert(spot(edges), draw(st.lists(vertex, max_size=3).filter(lambda r: len(r) != 2)))
+    for _ in times():
+        if (row := pair_at()) is not None:
+            row[draw(st.integers(0, 1))] = draw(_ODD | st.just(n))
+    for _ in times():
+        v = draw(vertex)
+        edges.insert(spot(edges), [v, v])
+    for _ in times():
+        if (row := pair_at()) is not None:
+            row.reverse()
+    for _ in times():
+        if (row := pair_at()) is not None:
+            edges.insert(spot(edges), row[::-1] if draw(st.booleans()) else list(row))
+    for _ in times():
+        kind = draw(st.sampled_from(["shape", "entry", "repeat", "shuffle"]))
+        if kind == "shape":
+            boundary = draw(st.sampled_from([[], 0, None, "0", {"0": 1}]))
+        elif isinstance(boundary, list) and boundary:
+            if kind == "entry":
+                boundary.insert(spot(boundary), draw(_ODD | st.just(n)))
+            elif kind == "repeat":
+                boundary.insert(spot(boundary), draw(st.sampled_from(boundary)))
+            else:
+                boundary = draw(st.permutations(boundary))
+    for _ in times():
+        kind = draw(st.sampled_from(["shape", "entry", "ring"]))
+        if kind == "shape":
+            rotation = draw(st.sampled_from([5, [], [[0]] * (n + 1)]))
+        elif isinstance(rotation, list) and len(rotation) == n:
+            v = draw(vertex)
+            if kind == "entry" and isinstance(rotation[v], list):
+                rotation[v] = rotation[v] + [draw(_ODD | st.just(n))]
+            elif kind == "ring":
+                rotation[v] = draw(st.sampled_from([3, None, "x", {}]))
+    obj = {"n": n, "edges": edges, "boundary": boundary}
+    if rotation is not None:
+        obj["rotation"] = rotation
+    return obj
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_documents())
+def test_schema_errors_match_the_scalar_reference(obj):
+    text = json.dumps(obj)
+
+    def parsed():
+        doc = parse_document(text)
+        if doc.rotation is None:
+            assert document_to_graph(doc).edges == tuple(sorted(doc.edges))
+        return doc.n, doc.edges, doc.boundary, doc.rotation, doc.meta
+
+    assert _outcome(parsed) == _outcome(lambda: reference_document(text))
+
+
+def test_a_document_is_validated_once(monkeypatch):
+    graphs = (gen_torus(3, 3), gen_torus(3, 3).base)
+    calls = []
+    build = harness.build_boundary_graph
+    monkeypatch.setattr(harness, "build_boundary_graph",
+                        lambda *args: calls.append(args) or build(*args))
+    for g in graphs:
+        doc = parse_document(serialize_document(graph_to_document(g)))
+        assert len(calls) == 1
+        first, again = document_to_graph(doc), document_to_graph(doc)
+        assert len(calls) == 1
+        if isinstance(g, RotationGraph):
+            first, again = first.base, again.base
+        assert first is again and first.edges == g.edges
+        calls.clear()
+    # a document made by hand builds its graph on first use, once
+    doc = GraphDocument(n=2, edges=((0, 1),), boundary=(0,))
+    assert document_to_graph(doc) is document_to_graph(doc)
+    assert len(calls) == 1
+    # the walk that words a refusal never accepts
+    with pytest.raises(SchemaError):
+        harness._first_offender(2, [[0, 1]], [0])
 
 
 def test_instance_size_cap(monkeypatch):
