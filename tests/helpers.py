@@ -4,7 +4,9 @@ Everything here is written from scratch with explicit loops and dense
 numpy so the oracles cannot share a code path (or a bug) with the library:
 the Laplacian is assembled entry by entry, the boundary reduction uses
 np.linalg.solve, spectra come from np.linalg.eigvalsh, and resistance from
-np.linalg.pinv.
+np.linalg.pinv.  The one exception is ``reference_mobius_normalize``, the
+recentering loop as the library first wrote it, kept verbatim so that
+faster kernels are checked against it bit for bit.
 """
 
 import json
@@ -12,8 +14,9 @@ import json
 import numpy as np
 
 from steklov import (BoundaryGraph, DuplicateEdge, EmptyBoundary, Immersion,
-                     IndexOutOfRange, SchemaError, SelfLoop, ValidationError,
-                     build_boundary_graph, build_rotation_graph)
+                     IndexOutOfRange, NormalizationFailure, SchemaError, SelfLoop,
+                     SphereConfiguration, ValidationError, build_boundary_graph,
+                     build_rotation_graph)
 
 
 def dense_laplacian(n, edges):
@@ -316,3 +319,62 @@ def tree_immersion(rng, g: BoundaryGraph) -> Immersion:
             usage[e] = usage.get(e, 0) + 1
     return Immersion(source=g, host=host, vertex_map=tuple(range(g.n)),
                      path_map=path_map, xi=max(usage.values()), ell=ell)
+
+
+def _reference_ball_map(w, x):
+    wn2 = float(w @ w)
+    diff = x - w
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    denom = 1.0 - 2.0 * (x @ w) + np.einsum("ij,ij->i", x, x) * wn2
+    return ((1.0 - wn2) * diff - d2[:, None] * w) / denom[:, None]
+
+
+def reference_mobius_normalize(sc, subset=None):
+    """Damped Newton recentering with two ball maps per accepted step: every
+    line-search trial maps the subset, then every point is mapped again.
+    Same constants as the library: 50 steps, damping down to 2**-40 and a
+    centroid tolerance of 1e-7."""
+    sub_idx = list(sc.boundary if subset is None else subset)
+    if not sub_idx:
+        raise EmptyBoundary("cannot normalize over an empty subset")
+    out = np.asarray(sc.points, dtype=float)
+    sub = out[sub_idx]
+    c = sub.mean(axis=0)
+    err = float(np.linalg.norm(c))
+    if err <= 1e-7:
+        return sc
+    m = len(sub)
+    count = int(np.all(sub == sub[np.lexsort(sub.T)[m // 2]], axis=1).sum())
+    if 2 * count > m:
+        raise NormalizationFailure(
+            f"{count} of {m} subset points coincide; no Möbius map can center them"
+        )
+
+    steps = 0
+    with np.errstate(all="ignore"):
+        while steps < 50:
+            try:
+                y = np.linalg.solve(np.eye(3) - sub.T @ sub / len(sub), 0.5 * c)
+            except np.linalg.LinAlgError:
+                break
+            ynorm = float(np.linalg.norm(y))
+            t = 1.0
+            while t >= 2.0**-40:
+                w = y * (np.tanh(t * ynorm) / ynorm)
+                if float(np.linalg.norm(_reference_ball_map(w, sub).mean(axis=0))) < err:
+                    break
+                t = 0.5 * t if err > 1e-7 else 0.0
+            else:
+                break
+            out = _reference_ball_map(w, out)
+            out /= np.linalg.norm(out, axis=1)[:, None]
+            sub = out[sub_idx]
+            c = sub.mean(axis=0)
+            err = float(np.linalg.norm(c))
+            steps += 1
+
+    if err > 1e-7:
+        raise NormalizationFailure(
+            f"Möbius Newton stalled with centroid norm {err:.3e} after {steps} steps"
+        )
+    return SphereConfiguration(points=out, boundary=sc.boundary)

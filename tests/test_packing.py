@@ -38,7 +38,7 @@ from steklov import (
 )
 from steklov.packing import _ball_map
 
-from helpers import stacked_triangulation, tangency_error
+from helpers import reference_mobius_normalize, stacked_triangulation, tangency_error
 
 
 def flower_radius(k):
@@ -315,6 +315,83 @@ def test_mobius_needs_a_subset():
     pts = np.eye(3)
     with pytest.raises(EmptyBoundary):
         mobius_normalize(SphereConfiguration(points=pts, boundary=()))
+
+
+def _mobius_cases():
+    """(label, configuration, subset) triples covering every exit of the loop."""
+    rng = np.random.Generator(np.random.Philox(31))
+    cases = []
+    for size in (10, 17, 23, 30, 41, 50):
+        pts = rng.normal(size=(size, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        cases.append((f"uniform{size}", pts, None))
+    for angle in (0.05, 0.2, 0.4):
+        z = rng.uniform(np.cos(angle), 1.0, size=30)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=30)
+        s = np.sqrt(1.0 - z * z)
+        cases.append((f"cap{angle}", np.column_stack([s * np.cos(phi), s * np.sin(phi), z]), None))
+    for heavy in range(16, 21):
+        pts = rng.normal(size=(30, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[:heavy] = pts[0]
+        cases.append((f"heavy{heavy}", pts, None))
+    pts = rng.normal(size=(10, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[:5] = [0.0, 0.0, 1.0]
+    cases.append(("half-coincident", pts, None))
+    near = np.tile([0.0, 0.0, 1.0], (8, 1)) + 1e-13 * rng.normal(size=(8, 3))
+    cases.append(("near-coincident", near / np.linalg.norm(near, axis=1, keepdims=True), None))
+    cases.append(("centred", np.vstack([np.eye(3), -np.eye(3)]), None))
+    for level in (2, 3):
+        lift = lift_to_sphere(circle_pack(gen_sphere(level))).points
+        half = sorted(np.random.Generator(np.random.Philox(level)).choice(
+            len(lift), len(lift) // 2, replace=False).tolist())
+        for label, subset in (("full", None), ("half", half), ("reversed", half[::-1])):
+            cases.append((f"sphere{level}-{label}", lift, subset))
+    return cases
+
+
+def _mobius_outcome(normalize, sc, subset):
+    try:
+        out = normalize(sc, subset)
+    except NormalizationFailure as exc:
+        return type(exc), str(exc)
+    return out is sc, out.boundary, out.points
+
+
+def test_mobius_kernel_is_bit_identical():
+    # The loop as first written is the oracle: same points to the last bit,
+    # and the same refusal with the same message.
+    for label, pts, subset in _mobius_cases():
+        sc = SphereConfiguration(points=pts, boundary=tuple(range(len(pts))))
+        got = _mobius_outcome(mobius_normalize, sc, subset)
+        want = _mobius_outcome(reference_mobius_normalize, sc, subset)
+        assert len(got) == len(want), label
+        if len(got) == 2:
+            assert got == want, label
+        else:
+            assert got[:2] == want[:2], label
+            assert np.array_equal(got[2], want[2]), label
+
+
+def test_mobius_never_writes_its_input():
+    # Read-only points raise on any in-place write: the all-points path
+    # maps the caller's array itself, the subset path a copy of its rows,
+    # and a centred input is returned as it is.
+    rng = np.random.Generator(np.random.Philox(37))
+    pts = rng.normal(size=(30, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    centred = np.vstack([np.eye(3), -np.eye(3)])
+    for x, subset in ((pts, None), (pts, list(range(0, 30, 2))), (centred, None)):
+        frozen = x.copy()
+        frozen.setflags(write=False)
+        sc = SphereConfiguration(points=frozen, boundary=tuple(range(len(x))))
+        out = mobius_normalize(sc, subset)
+        want = reference_mobius_normalize(
+            SphereConfiguration(points=x.copy(), boundary=sc.boundary), subset)
+        assert np.array_equal(frozen, x)
+        assert np.array_equal(out.points, want.points)
+    assert out is sc
 
 
 def test_certificate_octahedron_is_tight():
