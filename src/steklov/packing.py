@@ -18,6 +18,7 @@ eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,13 +265,16 @@ def lift_to_sphere(cp: CirclePacking) -> SphereConfiguration:
     return SphereConfiguration(points=pts, boundary=cp.boundary)
 
 
-def _ball_map(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _ball_map(w: np.ndarray, x: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
     """Möbius automorphism of the unit ball sending w to 0, applied to the
-    rows of x; restricts to a conformal map of the unit sphere."""
+    rows of x; restricts to a conformal map of the unit sphere.  ``xx`` may
+    hold the squared row norms of x when the caller already has them."""
     wn2 = float(w @ w)
     diff = x - w
     d2 = np.einsum("ij,ij->i", diff, diff)
-    denom = 1.0 - 2.0 * (x @ w) + np.einsum("ij,ij->i", x, x) * wn2
+    if xx is None:
+        xx = np.einsum("ij,ij->i", x, x)
+    denom = 1.0 - 2.0 * (x @ w) + xx * wn2
     return ((1.0 - wn2) * diff - d2[:, None] * w) / denom[:, None]
 
 
@@ -281,26 +285,33 @@ def mobius_normalize(sc: SphereConfiguration, subset=None) -> SphereConfiguratio
     Each step recenters the current points, so the centroid's Jacobian is
     always taken at w = 0, where it is -2 (I - M) with M the subset mean of
     x x^T; the Newton step enters the open ball through w -> tanh|w| w/|w|
-    and is halved until the centroid norm drops.  Points are renormalized
-    to the sphere after every step, so the centroid checked is that of the
-    returned points.  Returns the input unchanged when it is already
-    centered.  Raises NormalizationFailure up front when one point carries
-    more than half of the subset (no Möbius map can center that), and
-    whenever the centroid norm stalls above 1e-7, which is how nearly
-    coincident points end.
+    and is halved until the centroid norm drops.  Every trial maps the
+    subset only, sharing its squared row norms; an accepted trial then
+    moves the points with one more map, or, when the subset is every point
+    in order, its image is the next iterate.  Points are renormalized to
+    the sphere after every step, so the centroid checked is that of the
+    returned points.  The input array is never written.  Returns the input
+    unchanged when it is already centered.  Raises NormalizationFailure up
+    front when one point carries more than half of the subset (no Möbius
+    map can center that), and whenever the centroid norm stalls above
+    1e-7, which is how nearly coincident points end.
     """
     sub_idx = list(sc.boundary if subset is None else subset)
     if not sub_idx:
         raise EmptyBoundary("cannot normalize over an empty subset")
     out = np.asarray(sc.points, dtype=float)
-    sub = out[sub_idx]
-    c = sub.mean(axis=0)
-    err = float(np.linalg.norm(c))
+    # Sums over rows and BLAS products round by memory layout, so only a
+    # C-ordered array (as every lift is) may stand in for its subset copy.
+    whole = out.flags.c_contiguous and sub_idx == list(range(len(out)))
+    sub = out if whole else out[sub_idx]
+    m = len(sub)
+    # np.mean and np.linalg.norm compute exactly these, without the wrappers.
+    c = np.add.reduce(sub, axis=0) / m
+    err = math.sqrt(c @ c)
     if err <= _CENTROID_TOL:
         return sc
     # A point holding more than half of the subset fills the middle of any
     # lexicographic order, so only the median row needs counting.
-    m = len(sub)
     count = int(np.all(sub == sub[np.lexsort(sub.T)[m // 2]], axis=1).sum())
     if 2 * count > m:
         raise NormalizationFailure(
@@ -311,25 +322,28 @@ def mobius_normalize(sc: SphereConfiguration, subset=None) -> SphereConfiguratio
     with np.errstate(all="ignore"):
         while steps < _MAX_STEPS:
             try:
-                y = np.linalg.solve(np.eye(3) - sub.T @ sub / len(sub), 0.5 * c)
+                y = np.linalg.solve(np.eye(3) - sub.T @ sub / m, 0.5 * c)
             except np.linalg.LinAlgError:
                 break  # every point on one line: the step is undefined
-            ynorm = float(np.linalg.norm(y))
+            ynorm = math.sqrt(y @ y)
+            xx = np.einsum("ij,ij->i", sub, sub)
             t = 1.0
             while t >= _MIN_DAMPING:
                 w = y * (np.tanh(t * ynorm) / ynorm)
-                if float(np.linalg.norm(_ball_map(w, sub).mean(axis=0))) < err:
+                mapped = _ball_map(w, sub, xx)
+                trial = np.add.reduce(mapped, axis=0) / m
+                if math.sqrt(trial @ trial) < err:
                     break
                 # Once centered to the tolerance only full steps are tried, so
                 # the first one that does not decrease marks the roundoff floor.
                 t = 0.5 * t if err > _CENTROID_TOL else 0.0
             else:
                 break
-            out = _ball_map(w, out)
-            out /= np.linalg.norm(out, axis=1)[:, None]
-            sub = out[sub_idx]
-            c = sub.mean(axis=0)
-            err = float(np.linalg.norm(c))
+            out = mapped if whole else _ball_map(w, out)
+            out /= np.sqrt(np.add.reduce(out * out, axis=1))[:, None]
+            sub = out if whole else out[sub_idx]
+            c = np.add.reduce(sub, axis=0) / m
+            err = math.sqrt(c @ c)
             steps += 1
 
     if err > _CENTROID_TOL:

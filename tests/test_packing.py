@@ -325,6 +325,7 @@ def _mobius_cases():
         pts = rng.normal(size=(size, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         cases.append((f"uniform{size}", pts, None))
+    cases.append(("fortran", np.asfortranarray(pts), None))
     for angle in (0.05, 0.2, 0.4):
         z = rng.uniform(np.cos(angle), 1.0, size=30)
         phi = rng.uniform(0.0, 2.0 * np.pi, size=30)

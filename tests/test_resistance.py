@@ -29,7 +29,7 @@ from steklov import (
     with_boundary,
 )
 
-from helpers import random_connected_graph, resistance_oracle
+from helpers import dense_laplacian, random_connected_graph, resistance_oracle
 
 
 def bg(n, edges):
@@ -254,6 +254,26 @@ def test_genus_floor_samples_without_listing_every_pair():
     assert out["pairs_sampled"] == 5
     assert out["argmin"] == best[1]
     assert out["min_resistance"] == pytest.approx(best[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [lambda: gen_sphere(2), lambda: gen_torus(4, 4)],
+                         ids=["sphere2", "torus4"])
+def test_genus_floor_breaks_ties_by_pair_order(build):
+    # Equal resistances come out of the solver a few ulps apart, so the
+    # report takes the first sampled pair within 1e-9 of the smallest.
+    rg = build()
+    out = resistance_genus_floor(rg)
+    pinv = np.linalg.pinv(dense_laplacian(rg.n, rg.edges))
+    pairs = list(combinations(range(rg.n), 2))
+    if len(pairs) > 300:
+        draw = np.random.Generator(np.random.Philox(0)).choice(len(pairs), 300, replace=False)
+        pairs = [pairs[i] for i in sorted(draw)]
+    rs = [pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v] for u, v in pairs]
+    low = min(rs)
+    first = next(p for p, r in zip(pairs, rs) if r - low <= 1e-9 * low)
+    assert out["argmin"] == first
+    assert out["min_resistance"] == pytest.approx(low, rel=1e-9)
+    assert out["min_resistance"] == effective_resistance(rg, *first).r_steklov
 
 
 def test_genus_floor_needs_two_vertices():
