@@ -4,19 +4,23 @@ Everything here is written from scratch with explicit loops and dense
 numpy so the oracles cannot share a code path (or a bug) with the library:
 the Laplacian is assembled entry by entry, the boundary reduction uses
 np.linalg.solve, spectra come from np.linalg.eigvalsh, and resistance from
-np.linalg.pinv.  The one exception is ``reference_mobius_normalize``, the
-recentering loop as the library first wrote it, kept verbatim so that
-faster kernels are checked against it bit for bit.
+np.linalg.pinv.  The exceptions are ``reference_mobius_normalize``, the
+recentering loop as the library first wrote it, and
+``reference_random_immersion``, the cell-by-cell immersion router, each kept
+verbatim so that faster kernels are checked against them bit for bit.
 """
 
 import json
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from steklov import (BoundaryGraph, DuplicateEdge, EmptyBoundary, Immersion,
-                     IndexOutOfRange, NormalizationFailure, SchemaError, SelfLoop,
-                     SphereConfiguration, ValidationError, build_boundary_graph,
-                     build_rotation_graph)
+from steklov import (BoundaryGraph, BrokenPath, DuplicateEdge, EmptyBoundary, Immersion,
+                     IndexOutOfRange, NormalizationFailure, RefinedGraph, RotationGraph,
+                     SchemaError, SelfLoop, SphereConfiguration, ValidationError,
+                     build_boundary_graph, build_rotation_graph)
+from steklov.graphs import _seeded_rng
 
 
 def dense_laplacian(n, edges):
@@ -378,3 +382,245 @@ def reference_mobius_normalize(sc, subset=None):
             f"Möbius Newton stalled with centroid norm {err:.3e} after {steps} steps"
         )
     return SphereConfiguration(points=out, boundary=sc.boundary)
+
+
+# --- the immersion router as the library first wrote it ---------------------
+# Charts are rebuilt per call and every lane is mapped cell by cell through
+# dicts.  Only the dart offsets (from the ring lengths, not the graph's dart
+# arrays) and the closing measurement of xi and ell (counted here, not by
+# ``verify_immersion``) are written out afresh.
+
+
+@dataclass(eq=False)
+class _Charts:
+    """Per-call lookup tables for routing inside a RefinedGraph."""
+
+    r: int
+    source: RotationGraph   # its face indices index the lattices
+    lats: tuple             # face index -> {(a, b): refined vertex id}
+    inv: list               # face index -> {refined vertex id: (a, b)}
+    ids: list               # face index -> sorted refined vertex ids
+    faces_at: list          # source vertex -> face indices in rotation order
+
+    def face_of(self, u, v) -> int:
+        """Index of the face of the dart (u, v)."""
+        return self.faces_at[u][self.source.rotation[u].index(v)]
+
+
+def _build_charts(refined: RefinedGraph) -> _Charts:
+    lats = refined.face_lattices
+    src = refined.source
+    face = src.dart_face.tolist()
+    offsets = [0, *accumulate(map(len, src.rotation))]
+    return _Charts(
+        r=refined.resolution,
+        source=src,
+        lats=lats,
+        inv=[{vid: key for key, vid in lat.items()} for lat in lats],
+        ids=[sorted(lat.values()) for lat in lats],
+        faces_at=[face[a:b] for a, b in zip(offsets, offsets[1:])],
+    )
+
+
+def _to_rhombus(vid, f, fp, p, q, ch: _Charts):
+    r = ch.r
+    key = ch.inv[f].get(vid)
+    if key is not None:
+        s = ch.source.faces[f]
+        w = {s[0]: r - key[0] - key[1], s[1]: key[0], s[2]: key[1]}
+        return w[p], w[q]
+    key = ch.inv[fp][vid]
+    s = ch.source.faces[fp]
+    w = {s[0]: r - key[0] - key[1], s[1]: key[0], s[2]: key[1]}
+    return r - w[q], r - w[p]
+
+
+def _from_rhombus(x, y, f, fp, p, q, ch: _Charts):
+    r = ch.r
+    if x + y <= r:
+        s = ch.source.faces[f]
+        w = {p: x, q: y}
+        for t in s:
+            if t != p and t != q:
+                w[t] = r - x - y
+        return ch.lats[f][(w[s[1]], w[s[2]])]
+    s = ch.source.faces[fp]
+    w = {p: r - y, q: r - x}
+    for t in s:
+        if t != p and t != q:
+            w[t] = x + y - r
+    return ch.lats[fp][(w[s[1]], w[s[2]])]
+
+
+def _route(a, b, f, fp, ch: _Charts, rng) -> list[int]:
+    p = q = None
+    walk = ch.source.faces[f]
+    m = len(walk)
+    for i in range(m):
+        c, d = walk[i], walk[(i + 1) % m]
+        if ch.face_of(d, c) == fp:
+            p, q = c, d
+            break
+    if p is None:
+        raise BrokenPath(f"faces {f} and {fp} share no edge")
+    coin = int(rng.integers(2))
+    x0, y0 = _to_rhombus(a, f, fp, p, q, ch)
+    x1, y1 = _to_rhombus(b, f, fp, p, q, ch)
+    coords = [(x0, y0)]
+    if coin == 0:
+        legs = (((1, 0), x0, x1, y0, True), ((0, 1), y0, y1, x1, False))
+    else:
+        legs = (((0, 1), y0, y1, x0, False), ((1, 0), x0, x1, y1, True))
+    for _, start, stop, fixed, x_moves in legs:
+        step = 1 if stop >= start else -1
+        for c in range(start + step, stop + step, step) if start != stop else ():
+            coords.append((c, fixed) if x_moves else (fixed, c))
+    return [_from_rhombus(xx, yy, f, fp, p, q, ch) for xx, yy in coords]
+
+
+def _initial_path(v, rep, x, edge_faces, ch: _Charts, rng) -> list[int]:
+    faces_v = ch.faces_at[v]
+    d = len(faces_v)
+    tx = next((f for f in edge_faces if x in ch.inv[f]), None)
+    if tx is None:
+        raise BrokenPath(f"connector {x} lies in neither face of the edge at {v}")
+    pos_x = faces_v.index(tx)
+
+    best = None
+    for pos in range(d):
+        if rep not in ch.inv[faces_v[pos]]:
+            continue
+        fwd = (pos_x - pos) % d
+        rev = (pos - pos_x) % d
+        if best is None or min(fwd, rev) < best[0]:
+            best = (min(fwd, rev), pos)
+    if best is None:
+        raise BrokenPath(f"representative {rep} lies in no triangle at vertex {v}")
+    pos_pi = best[1]
+
+    fwd = (pos_x - pos_pi) % d
+    rev = (pos_pi - pos_x) % d
+    if pos_pi == pos_x:
+        seq = [pos_pi]
+    elif fwd != rev:
+        direction = 1 if fwd < rev else -1
+        seq = [(pos_pi + direction * t) % d for t in range(min(fwd, rev) + 1)]
+    else:
+        direction = 1 if int(rng.integers(2)) == 0 else -1
+        seq = [(pos_pi + direction * t) % d for t in range(fwd + 1)]
+    fseq = [faces_v[pos] for pos in seq]
+
+    pts = [rep]
+    for f in fseq[1:-1]:
+        pool = ch.ids[f]
+        pts.append(pool[int(rng.integers(len(pool)))])
+    pts.append(x)
+
+    if len(fseq) == 1:
+        f = fseq[0]
+        walk = ch.source.faces[f]
+        m = len(walk)
+        adj = sorted(
+            {ch.face_of(walk[(i + 1) % m], walk[i]) for i in range(m)} - {f}
+        )
+        partner = adj[int(rng.integers(len(adj)))]
+        return _route(pts[0], pts[1], f, partner, ch, rng)
+
+    out = [rep]
+    for i in range(len(fseq) - 1):
+        seg = _route(pts[i], pts[i + 1], fseq[i], fseq[i + 1], ch, rng)
+        out.extend(seg[1:])
+    return out
+
+
+def _join_at_connector(half_a: list[int], half_b: list[int]) -> list[int]:
+    a, b = list(half_a), list(half_b)
+    while len(a) >= 2 and len(b) >= 2 and a[-1] == b[-1] and a[-2] == b[-2]:
+        a.pop()
+        b.pop()
+    return a + b[-2::-1]
+
+
+def _loop_erase(walk: list[int]) -> list[int]:
+    out: list[int] = []
+    pos: dict[int, int] = {}
+    for w in walk:
+        if w in pos:
+            cut = pos[w]
+            for dropped in out[cut + 1:]:
+                del pos[dropped]
+            del out[cut + 1:]
+        else:
+            pos[w] = len(out)
+            out.append(w)
+    return out
+
+
+def reference_random_immersion(refined: RefinedGraph, seed: int) -> Immersion:
+    """``random_immersion`` with per-call charts: the same seeded stream,
+    draws and paths, so a faster router must return an equal witness."""
+    if refined.level < 1:
+        raise ValidationError("random immersion requires refinement level >= 1")
+    rng = _seeded_rng(seed)
+    src = refined.source
+    ch = _build_charts(refined)
+    cells = refined.cells
+
+    reps: list[int] = []
+    for v in range(src.n):
+        pool = set()
+        for f in ch.faces_at[v]:
+            pool.update(ch.ids[f])
+        cand = sorted(pool & set(cells[v]))
+        reps.append(cand[int(rng.integers(len(cand)))])
+
+    fine_edges = refined.graph.base.edge_set
+    raw_paths: dict[tuple[int, int], list[int]] = {}
+    for u, v in src.edges:
+        f1, f2 = ch.face_of(u, v), ch.face_of(v, u)
+        edge_faces = (f1, f2) if f1 <= f2 else (f2, f1)
+        pool = sorted(set(ch.ids[edge_faces[0]]) | set(ch.ids[edge_faces[1]]))
+        x = pool[int(rng.integers(len(pool)))]
+        half_u = _initial_path(u, reps[u], x, edge_faces, ch, rng)
+        half_v = _initial_path(v, reps[v], x, edge_faces, ch, rng)
+        path = _loop_erase(_join_at_connector(half_u, half_v))
+        for a, b in zip(path, path[1:]):
+            if ((a, b) if a < b else (b, a)) not in fine_edges:
+                raise BrokenPath(
+                    f"router produced non-edge step {(a, b)} for edge {(u, v)}"
+                )
+        raw_paths[(u, v)] = path
+
+    used = sorted({w for p in raw_paths.values() for w in p} | set(reps))
+    index = {g_id: i for i, g_id in enumerate(used)}
+    host_edges = sorted(
+        {
+            (min(index[a], index[b]), max(index[a], index[b]))
+            for p in raw_paths.values()
+            for a, b in zip(p, p[1:])
+        }
+    )
+    vertex_map = tuple(index[reps[v]] for v in range(src.n))
+    host_boundary = sorted({vertex_map[b] for b in src.boundary})
+    host = BoundaryGraph(
+        n=len(used),
+        edges=tuple(host_edges),
+        boundary=tuple(host_boundary),
+    )
+    path_map = {e: tuple(index[w] for w in p) for e, p in raw_paths.items()}
+
+    usage: dict[tuple[int, int], int] = {}
+    for p in path_map.values():
+        for a, b in zip(p, p[1:]):
+            e = (a, b) if a < b else (b, a)
+            usage[e] = usage.get(e, 0) + 1
+    return Immersion(
+        source=src.base,
+        host=host,
+        vertex_map=vertex_map,
+        path_map=path_map,
+        xi=max(usage.values(), default=0),
+        ell=max((len(p) - 1 for p in path_map.values()), default=0),
+        seed=int(seed),
+        host_vertex_ids=tuple(used),
+    )

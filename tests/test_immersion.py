@@ -14,6 +14,8 @@ from steklov import (
     build_rotation_graph,
     chain_bound,
     comparison_bound,
+    gen_genus,
+    gen_sphere,
     gen_torus,
     icosahedron,
     lambda_k,
@@ -25,7 +27,8 @@ from steklov import (
     with_boundary,
 )
 
-from helpers import random_boundary, random_connected_graph
+from steklov import immersion
+from helpers import random_boundary, random_connected_graph, reference_random_immersion
 
 
 def identity_immersion(g):
@@ -215,3 +218,48 @@ def test_synthetic_immersions_from_helpers():
             assert (xi, ell) == (imm.xi, imm.ell)
             lhs, rhs = comparison_bound(imm, 2)
             assert lhs <= rhs + 1e-8
+
+
+# the refined graphs the faster router is checked on, bit for bit, by name and level
+ORACLE_GRAPHS = {
+    "sphere1": lambda: gen_sphere(1), "octahedron": octahedron, "icosahedron": icosahedron,
+    "tetrahedron": tetrahedron, "sphere2": lambda: gen_sphere(2),
+    "torus4x4": lambda: gen_torus(4, 4), "genus2_r5": lambda: gen_genus(2, 5),
+}
+ORACLE_CASES = [("sphere1", 2), ("octahedron", 3), ("icosahedron", 2), ("tetrahedron", 1),
+                ("tetrahedron", 3), ("sphere2", 1), ("torus4x4", 2), ("genus2_r5", 1)]
+
+
+def witness(imm):
+    return (imm.vertex_map, imm.path_map, imm.xi, imm.ell, imm.host.n, imm.host.edges,
+            imm.host.boundary, imm.host_vertex_ids, imm.seed)
+
+
+@pytest.mark.parametrize("name,k", ORACLE_CASES)
+def test_random_immersion_matches_reference(name, k):
+    rg = ORACLE_GRAPHS[name]()
+    boundary = sorted(np.random.Generator(np.random.Philox(k)).choice(
+        rg.n, max(1, rg.n // 3), replace=False).tolist())
+    for refined, seeds in ((refine(rg, None, k), range(30)), (refine(rg, boundary, k), range(5))):
+        for seed in seeds:
+            want = reference_random_immersion(refined, seed)
+            got = random_immersion(refined, seed)
+            assert witness(got) == witness(want), seed
+            assert list(got.path_map) == list(want.path_map)
+
+
+@pytest.mark.parametrize("k,seed", [(0, 0), (1, -1), (1, True), (1, 1.5), (1, 2**64)])
+def test_random_immersion_refuses_as_the_reference(k, seed):
+    refined = refine(octahedron(), None, k)
+    with pytest.raises(ValidationError) as want:
+        reference_random_immersion(refined, seed)
+    with pytest.raises(ValidationError) as got:
+        random_immersion(refined, seed)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize("builder,k", [(octahedron, 3), (icosahedron, 2)])
+def test_chain_bound_matches_the_reference_router(builder, k, monkeypatch):
+    got = chain_bound(builder(), None, k)
+    monkeypatch.setattr(immersion, "random_immersion", reference_random_immersion)
+    assert got == chain_bound(builder(), None, k)
