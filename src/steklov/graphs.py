@@ -395,23 +395,23 @@ def with_boundary(g, boundary: Iterable[int]):
 
 
 def _flatten(rings: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The rings as one int64 array and their lengths; refuses non-integers."""
-    lens = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+    """The rings as one int64 array and their offsets; refuses non-integers."""
+    offsets = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rings), dtype=np.int64, count=len(rings)), out=offsets[1:])
     items = list(chain.from_iterable(rings))
     if (bad := _first_non_int(items)) < len(items):
-        at = f"rotation at vertex {np.searchsorted(np.cumsum(lens), bad, side='right')}"
+        at = f"rotation at vertex {np.searchsorted(offsets[1:], bad, side='right')}"
         _check_int(items[bad], at, 0, error=MalformedRotation)
-    return _int64(items), lens
+    return _int64(items), offsets
 
 
-def _dart_layout(g: BoundaryGraph, flat: np.ndarray, lens: np.ndarray) -> _Darts:
-    """Check that every ring of a rotation (``flat`` cut into pieces of
-    ``lens``) permutes the neighbours of its vertex, and lay out its darts."""
-    if len(lens) != g.n:
-        raise MalformedRotation(f"rotation has {len(lens)} rows, graph has {g.n} vertices")
+def _dart_layout(g: BoundaryGraph, flat: np.ndarray, offsets: np.ndarray) -> _Darts:
+    """Check that every ring of a rotation (``flat[offsets[v]:offsets[v + 1]]``)
+    permutes the neighbours of its vertex, and lay out its darts."""
+    if len(offsets) - 1 != g.n:
+        raise MalformedRotation(f"rotation has {len(offsets) - 1} rows, graph has {g.n} vertices")
     indptr, indices, edge_of = g._adjacency
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
+    lens = np.diff(offsets)
     tail = np.repeat(np.arange(g.n), lens)
     order = np.lexsort((flat, tail))  # every ring ascending, as in the CSR
     short = np.flatnonzero(lens != np.diff(indptr))
@@ -450,11 +450,16 @@ def build_rotation_graph(g: BoundaryGraph,
     gives every vertex a ring of d neighbours.
     """
     if isinstance(rotation, np.ndarray) and rotation.dtype.kind in "iu" and rotation.ndim == 2:
-        flat, lens = rotation.astype(np.int64).ravel(), np.full(len(rotation), rotation.shape[1])
-    else:
-        flat, lens = _flatten(list(map(tuple, rotation)))
-    darts = _dart_layout(g, flat, lens)
-    rg = RotationGraph(base=g, rotation=_rings(flat, darts.offsets))
+        n, d = rotation.shape
+        return _rotation_graph(g, rotation.astype(np.int64).ravel(), np.arange(n + 1) * d)
+    return _rotation_graph(g, *_flatten(list(map(tuple, rotation))))
+
+
+def _rotation_graph(g: BoundaryGraph, flat: np.ndarray, offsets: np.ndarray) -> RotationGraph:
+    """:func:`build_rotation_graph` on a rotation given as one int64 array of
+    its rings and their (n + 1) offsets, as subdivision builds it."""
+    darts = _dart_layout(g, flat, offsets)
+    rg = RotationGraph(base=g, rotation=_rings(flat, offsets))
     rg.__dict__["_darts"] = darts
     # Orientable maps always have even Euler characteristic; cheap sanity net.
     chi = g.n - len(g.edges) + len(rg.faces)

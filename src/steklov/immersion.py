@@ -9,11 +9,21 @@ randomized construction: each source edge is routed through the
 hexagon-subdivided graph by sampling cell representatives, a connector
 vertex near the edge, and L-shaped lanes inside the rhombus grid spanned
 by two adjacent subdivided triangles.
+
+Routing reads tables that depend only on the refinement: the rhombus grid
+of every adjacent face pair, the representative pool of every source
+vertex with the rotation positions holding each representative, and the
+faces and connector pool of every source edge.  The first
+:func:`random_immersion` call builds them from the face lattices with
+array indexing and keeps them on the :class:`RefinedGraph`; later calls on
+it only draw and look up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import (
     BoundaryMismatch,
@@ -117,107 +127,151 @@ def comparison_bound(imm: Immersion, k: int) -> tuple[float, float]:
 # --- randomized immersion into a refined graph ---------------------------
 
 
-@dataclass(eq=False)
-class _Charts:
-    """Per-call lookup tables for routing inside a RefinedGraph."""
+@dataclass(frozen=True, eq=False)
+class _Routing:
+    """Lookup tables for routing inside one RefinedGraph (see :func:`_routing`).
+
+    Faces are indexed as in ``source.faces``; a face's barycentric slots are
+    the positions of its traced corners.  ``pairs[(f, fp)]`` describes the
+    rhombus spanned by adjacent faces f and fp, where f carries the dart
+    (p, q) and fp carries (q, p): ``(cells, ip, iq, jq, jp)`` with
+    ``cells[x * (r + 1) + y]`` the refined vertex at grid point (x, y),
+    ``ip``/``iq`` the slots of p and q in f and ``jq``/``jp`` those of q and
+    p in fp.  The chart puts the apex of f at (0,0), p at (r,0), q at (0,r),
+    and the apex of fp at (r,r); the shared subdivided edge is the diagonal
+    x + y = r, and every unit step in x or y is an edge of the refined graph.
+    """
 
     r: int
-    source: RotationGraph   # its face indices index the lattices
-    lats: tuple             # face index -> {(a, b): refined vertex id}
-    inv: list               # face index -> {refined vertex id: (a, b)}
-    ids: list               # face index -> sorted refined vertex ids
-    faces_at: list          # source vertex -> face indices in rotation order
+    pairs: dict       # (f, fp) -> (cells, ip, iq, jq, jp), f and fp adjacent
+    bary: list        # face -> {refined vertex: its barycentric coordinates}
+    ids: list         # face -> sorted refined vertices
+    adjacent: list    # face -> sorted adjacent faces
+    faces_at: list    # source vertex -> faces in rotation order
+    spots: list       # source vertex -> {representative: rotation positions holding it}
+    reps: list        # source vertex -> sorted representative pool
+    edges: list       # source edge -> (lower face, higher face, sorted connector pool)
 
-    def face_of(self, u, v) -> int:
-        """Index of the face of the dart (u, v)."""
-        return self.faces_at[u][self.source.rotation[u].index(v)]
+
+def _routing(refined: RefinedGraph) -> _Routing:
+    """The refinement's routing tables, built on first use and kept on it
+    (as ``circle_pack`` keeps a packing on its graph; pickles drop them)."""
+    cache = refined.__dict__
+    if "_routing" not in cache:
+        cache["_routing"] = _build_routing(refined)
+    return cache["_routing"]
 
 
-def _build_charts(refined: RefinedGraph) -> _Charts:
-    lats = refined.face_lattices
-    src = refined.source
-    face, offsets = src.dart_face.tolist(), src._darts.offsets.tolist()
-    return _Charts(
-        r=refined.resolution,
-        source=src,
-        lats=lats,
-        inv=[{vid: key for key, vid in lat.items()} for lat in lats],
-        ids=[sorted(lat.values()) for lat in lats],
-        faces_at=[face[a:b] for a, b in zip(offsets, offsets[1:])],
+def _build_routing(refined: RefinedGraph) -> _Routing:
+    r, src, lats = refined.resolution, refined.source, refined.face_lattices
+    s, nf = r + 1, len(lats)
+    keys = list(lats[0]) if lats else []  # every lattice lists its keys in this order
+    members = np.array([list(lat.values()) for lat in lats], dtype=np.int64).reshape(nf, len(keys))
+    triples = [(r - a - b, a, b) for a, b in keys]
+    bary = [dict(zip(row, triples)) for row in members.tolist()]
+    column = np.zeros((s, s), dtype=np.int64)  # column[a, b]: the index of key (a, b)
+    column[tuple(np.array(keys, dtype=np.int64).reshape(-1, 2).T)] = np.arange(len(keys))
+
+    # Each face's walk from its lowest dart, as ``source.faces`` traces it: slot i
+    # of face f holds the tail of walk[f, i].  Two faces share at most one edge
+    # (a triangle whose two faces share all three does not subdivide).
+    darts, face = src._darts, src.dart_face
+    first = np.unique(face, return_index=True)[1]
+    walk = np.stack((first, darts.next[first], darts.next[darts.next[first]]), axis=1)
+    slot = np.empty(len(face), dtype=np.int64)
+    slot[walk] = np.arange(3)
+    partner = face[darts.rev[walk]]  # partner[f, i]: the face across walk[f, i]
+    f, i = np.divmod(np.arange(3 * nf), 3)
+    fp, j = partner.ravel(), slot[darts.rev[walk]].ravel()
+    # Grid point (x, y) lies in f with x in slot i, y in the next slot and
+    # r - x - y in the third, or, past the diagonal, in fp with r - x in slot j
+    # and r - y in the next.  at_slot[i][x, y] is then the lattice column in f.
+    x, y = np.indices((s, s))
+    w = np.stack((x, y, r - x - y)) % s  # the points past the diagonal are dropped
+    at_slot = np.stack([column[w[(1 - k) % 3], w[(2 - k) % 3]] for k in range(3)])
+    grid = np.where(x + y <= r, members[f[:, None, None], at_slot[i]],
+                    members[fp[:, None, None], at_slot[j][:, ::-1, ::-1]])
+    pairs = dict(zip(zip(f.tolist(), fp.tolist()), zip(
+        grid.reshape(len(f), s * s).tolist(), i.tolist(), ((i + 1) % 3).tolist(),
+        j.tolist(), ((j + 1) % 3).tolist())))
+
+    # Representative pools: the refined vertices of v's cell in the faces at v,
+    # each with the rotation positions (ascending) of the faces holding it.
+    offsets = darts.offsets
+    tail = np.repeat(np.arange(src.n), np.diff(offsets))
+    at_dart = members[face]
+    t, k = np.nonzero(np.asarray(refined.parent_map)[at_dart] == tail[:, None])
+    order = np.lexsort((at_dart[t, k], tail[t]))  # stable: positions stay ascending
+    t = t[order]
+    owner, vid = tail[t], at_dart[t, k[order]]
+    starts = np.flatnonzero(np.diff(owner * len(refined.parent_map) + vid, prepend=-1))
+    pos, bounds = (t - offsets[owner]).tolist(), [*starts.tolist(), len(t)]
+    held = [tuple(pos[p:q]) for p, q in zip(bounds, bounds[1:])]
+    pool = vid[starts].tolist()
+    cuts = np.searchsorted(owner[starts], np.arange(src.n + 1)).tolist()
+    spots = [dict(zip(pool[p:q], held[p:q])) for p, q in zip(cuts, cuts[1:])]
+
+    # Connector pools: the union of an edge's two face lattices.
+    ends = face[darts.along], face[darts.rev[darts.along]]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    ids = np.sort(members, axis=1)
+    both = np.sort(np.concatenate((ids[lo], ids[hi]), axis=1), axis=1)
+    keep = np.ones(both.shape, dtype=bool)
+    keep[:, 1:] = both[:, 1:] != both[:, :-1]
+    flat, cut = both[keep].tolist(), [0, *np.cumsum(keep.sum(axis=1)).tolist()]
+    face_l, rings = face.tolist(), offsets.tolist()
+    return _Routing(
+        r=r,
+        pairs=pairs,
+        bary=bary,
+        ids=ids.tolist(),
+        adjacent=[sorted(set(row) - {g}) for g, row in enumerate(partner.tolist())],
+        faces_at=[face_l[p:q] for p, q in zip(rings, rings[1:])],
+        spots=spots,
+        reps=[list(sp) for sp in spots],
+        edges=list(zip(lo.tolist(), hi.tolist(), (flat[p:q] for p, q in zip(cut, cut[1:])))),
     )
 
 
-def _to_rhombus(vid, f, fp, p, q, ch: _Charts):
-    """Grid coordinates of a refined vertex in the rhombus spanned by faces
-    f (carrying the dart (p, q)) and fp (carrying (q, p)).
-
-    The chart puts the apex of f at (0,0), p at (r,0), q at (0,r), and the
-    apex of fp at (r,r); the shared subdivided edge is the diagonal
-    x + y = r, and every unit step in x or y is an edge of the refined
-    graph.
-    """
-    r = ch.r
-    key = ch.inv[f].get(vid)
-    if key is not None:
-        s = ch.source.faces[f]
-        w = {s[0]: r - key[0] - key[1], s[1]: key[0], s[2]: key[1]}
-        return w[p], w[q]
-    key = ch.inv[fp][vid]
-    s = ch.source.faces[fp]
-    w = {s[0]: r - key[0] - key[1], s[1]: key[0], s[2]: key[1]}
-    return r - w[q], r - w[p]
+def _lane(cells: list, start: int, stop: int, stride: int) -> list[int]:
+    """cells[start], cells[start +- stride], ..., cells[stop]."""
+    if stop < start:
+        stride = -stride
+    end = stop + stride
+    return cells[start:end if end >= 0 else None:stride]
 
 
-def _from_rhombus(x, y, f, fp, p, q, ch: _Charts):
-    r = ch.r
-    if x + y <= r:
-        s = ch.source.faces[f]
-        w = {p: x, q: y}
-        for t in s:
-            if t != p and t != q:
-                w[t] = r - x - y
-        return ch.lats[f][(w[s[1]], w[s[2]])]
-    s = ch.source.faces[fp]
-    w = {p: r - y, q: r - x}
-    for t in s:
-        if t != p and t != q:
-            w[t] = x + y - r
-    return ch.lats[fp][(w[s[1]], w[s[2]])]
-
-
-def _route(a, b, f, fp, ch: _Charts, rng) -> list[int]:
+def _route(a, b, f, fp, rt: _Routing, rng) -> list[int]:
     """L-shaped lane from a to b inside the grid of adjacent faces f, fp.
 
     One orientation coin per segment, always consumed: 0 routes along x
     then y, 1 the other way round (a no-op distinction when the endpoints
     already share a row or column).
     """
-    p = q = None
-    walk = ch.source.faces[f]
-    m = len(walk)
-    for i in range(m):
-        c, d = walk[i], walk[(i + 1) % m]
-        if ch.face_of(d, c) == fp:
-            p, q = c, d
-            break
-    if p is None:
+    pair = rt.pairs.get((f, fp))
+    if pair is None:
         raise BrokenPath(f"faces {f} and {fp} share no edge")
+    cells, ip, iq, jq, jp = pair
     coin = int(rng.integers(2))
-    x0, y0 = _to_rhombus(a, f, fp, p, q, ch)
-    x1, y1 = _to_rhombus(b, f, fp, p, q, ch)
-    coords = [(x0, y0)]
-    if coin == 0:
-        legs = (((1, 0), x0, x1, y0, True), ((0, 1), y0, y1, x1, False))
-    else:
-        legs = (((0, 1), y0, y1, x0, False), ((1, 0), x0, x1, y1, True))
-    for _, start, stop, fixed, x_moves in legs:
-        step = 1 if stop >= start else -1
-        for c in range(start + step, stop + step, step) if start != stop else ():
-            coords.append((c, fixed) if x_moves else (fixed, c))
-    return [_from_rhombus(xx, yy, f, fp, p, q, ch) for xx, yy in coords]
+    r = rt.r
+    s = r + 1
+    ends = []
+    for vid in (a, b):
+        w = rt.bary[f].get(vid)
+        if w is not None:
+            ends.append(w[ip] * s + w[iq])
+        else:
+            w = rt.bary[fp][vid]
+            ends.append((r - w[jq]) * s + r - w[jp])
+    start, stop = ends
+    if coin == 0:  # x first: the corner is (x1, y0)
+        corner = stop - stop % s + start % s
+        return _lane(cells, start, corner, s) + _lane(cells, corner, stop, 1)[1:]
+    corner = start - start % s + stop % s  # y first: the corner is (x0, y1)
+    return _lane(cells, start, corner, 1) + _lane(cells, corner, stop, s)[1:]
 
 
-def _initial_path(v, rep, x, edge_faces, ch: _Charts, rng) -> list[int]:
+def _initial_path(v, rep, x, edge_faces, rt: _Routing, rng) -> list[int]:
     """Walk from the representative of v to the connector x.
 
     The triangle holding x is the first of the edge's two faces whose
@@ -228,21 +282,19 @@ def _initial_path(v, rep, x, edge_faces, ch: _Charts, rng) -> list[int]:
     per intermediate triangle.  When start and end triangles coincide, a
     partner triangle is drawn from the adjacent faces to form the grid.
     """
-    faces_v = ch.faces_at[v]
+    faces_v = rt.faces_at[v]
     d = len(faces_v)
-    tx = next((f for f in edge_faces if x in ch.inv[f]), None)
+    f1, f2 = edge_faces
+    tx = f1 if x in rt.bary[f1] else f2 if x in rt.bary[f2] else None
     if tx is None:
         raise BrokenPath(f"connector {x} lies in neither face of the edge at {v}")
     pos_x = faces_v.index(tx)
 
     best = None
-    for pos in range(d):
-        if rep not in ch.inv[faces_v[pos]]:
-            continue
-        fwd = (pos_x - pos) % d
-        rev = (pos - pos_x) % d
-        if best is None or min(fwd, rev) < best[0]:
-            best = (min(fwd, rev), pos)
+    for pos in rt.spots[v].get(rep, ()):
+        dist = min((pos_x - pos) % d, (pos - pos_x) % d)
+        if best is None or dist < best[0]:
+            best = (dist, pos)
     if best is None:
         raise BrokenPath(f"representative {rep} lies in no triangle at vertex {v}")
     pos_pi = best[1]
@@ -261,23 +313,19 @@ def _initial_path(v, rep, x, edge_faces, ch: _Charts, rng) -> list[int]:
 
     pts = [rep]
     for f in fseq[1:-1]:
-        pool = ch.ids[f]
+        pool = rt.ids[f]
         pts.append(pool[int(rng.integers(len(pool)))])
     pts.append(x)
 
     if len(fseq) == 1:
         f = fseq[0]
-        walk = ch.source.faces[f]
-        m = len(walk)
-        adj = sorted(
-            {ch.face_of(walk[(i + 1) % m], walk[i]) for i in range(m)} - {f}
-        )
+        adj = rt.adjacent[f]
         partner = adj[int(rng.integers(len(adj)))]
-        return _route(pts[0], pts[1], f, partner, ch, rng)
+        return _route(pts[0], pts[1], f, partner, rt, rng)
 
     out = [rep]
     for i in range(len(fseq) - 1):
-        seg = _route(pts[i], pts[i + 1], fseq[i], fseq[i + 1], ch, rng)
+        seg = _route(pts[i], pts[i + 1], fseq[i], fseq[i + 1], rt, rng)
         out.extend(seg[1:])
     return out
 
@@ -321,48 +369,35 @@ def random_immersion(refined: RefinedGraph, seed: int) -> Immersion:
     are joined at the connector and loop-erased, so every stored path is
     edge-simple.  xi and ell are measured from the final paths by
     :func:`verify_immersion`.
+
+    The routing tables are built on the first call and kept on ``refined``
+    (not pickled), so repeated calls on one refinement share them.
     """
     if refined.level < 1:
         raise ValidationError("random immersion requires refinement level >= 1")
     rng = _seeded_rng(seed)
     src = refined.source
-    ch = _build_charts(refined)
-    cells = refined.cells
-
-    reps: list[int] = []
-    for v in range(src.n):
-        pool = set()
-        for f in ch.faces_at[v]:
-            pool.update(ch.ids[f])
-        cand = sorted(pool & set(cells[v]))
-        reps.append(cand[int(rng.integers(len(cand)))])
+    rt = _routing(refined)
+    reps = [pool[int(rng.integers(len(pool)))] for pool in rt.reps]
 
     fine_edges = refined.graph.base.edge_set
     raw_paths: dict[tuple[int, int], list[int]] = {}
-    for u, v in src.edges:
-        f1, f2 = ch.face_of(u, v), ch.face_of(v, u)
-        edge_faces = (f1, f2) if f1 <= f2 else (f2, f1)
-        pool = sorted(set(ch.ids[edge_faces[0]]) | set(ch.ids[edge_faces[1]]))
+    steps: set[tuple[int, int]] = set()  # the refined edges the paths take
+    for (u, v), (f1, f2, pool) in zip(src.edges, rt.edges):
         x = pool[int(rng.integers(len(pool)))]
-        half_u = _initial_path(u, reps[u], x, edge_faces, ch, rng)
-        half_v = _initial_path(v, reps[v], x, edge_faces, ch, rng)
+        half_u = _initial_path(u, reps[u], x, (f1, f2), rt, rng)
+        half_v = _initial_path(v, reps[v], x, (f1, f2), rt, rng)
         path = _loop_erase(_join_at_connector(half_u, half_v))
-        for a, b in zip(path, path[1:]):
-            if ((a, b) if a < b else (b, a)) not in fine_edges:
-                raise BrokenPath(
-                    f"router produced non-edge step {(a, b)} for edge {(u, v)}"
-                )
+        hops = [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]
+        if not fine_edges.issuperset(hops):
+            a, b = next((path[t], path[t + 1]) for t, e in enumerate(hops) if e not in fine_edges)
+            raise BrokenPath(f"router produced non-edge step {(a, b)} for edge {(u, v)}")
+        steps.update(hops)
         raw_paths[(u, v)] = path
 
     used = sorted({w for p in raw_paths.values() for w in p} | set(reps))
     index = {g_id: i for i, g_id in enumerate(used)}
-    host_edges = sorted(
-        {
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for p in raw_paths.values()
-            for a, b in zip(p, p[1:])
-        }
-    )
+    host_edges = sorted((index[a], index[b]) for a, b in steps)  # index keeps a < b
     vertex_map = tuple(index[reps[v]] for v in range(src.n))
     host_boundary = sorted({vertex_map[b] for b in src.boundary})
     host = BoundaryGraph(

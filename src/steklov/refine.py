@@ -21,7 +21,7 @@ from .graphs import (
     BoundaryGraph,
     RotationGraph,
     _check_int,
-    _rings,
+    _rotation_graph,
     build_boundary_graph,
     build_rotation_graph,
     with_boundary,
@@ -148,13 +148,13 @@ def _hex_subdivide_mapped(rg: RotationGraph):
     fb = nxt[darts.rev[darts.along]]
     ring = np.stack((ea[:, 0], m[nxt[fa]], m[fa], ea[:, 1], m[nxt[fb]], m[fb]), axis=1)
     offsets = np.concatenate((darts.offsets, darts.offsets[-1] + 6 * np.arange(1, len(ea) + 1)))
-    rotation = _rings(np.concatenate((m, ring.ravel())), offsets)
+    rotation = np.concatenate((m, ring.ravel()))
 
     on_boundary = np.zeros(n, dtype=bool)
     on_boundary[list(rg.boundary)] = True
     new_boundary = list(rg.boundary) + mids[on_boundary[ea[:, 0]]].tolist()
     base = build_boundary_graph(n + len(ea), new_edges, new_boundary)
-    return build_rotation_graph(base, rotation), dict(zip(rg.edges, mids.tolist()))
+    return _rotation_graph(base, rotation, offsets), dict(zip(rg.edges, mids.tolist()))
 
 
 def hex_subdivide(rg: RotationGraph) -> RotationGraph:
@@ -183,7 +183,12 @@ class RefinedGraph:
     as the boundary of ``graph``.  ``face_lattices[i]`` indexes the refined
     vertices inside face ``source.faces[i]`` by grid coordinates (a, b) with
     a, b >= 0 and a + b <= resolution; the face's traced corners sit at
-    (0,0), (r,0), (0,r).
+    (0,0), (r,0), (0,r).  Every lattice lists its keys in the same order.
+
+    ``cells`` is computed on first use and kept.  The first
+    :func:`~steklov.immersion.random_immersion` call keeps the routing tables
+    of the refinement on it (rhombus grids, representative and connector
+    pools); a pickle leaves them out and they are rebuilt on demand.
     """
 
     graph: RotationGraph
@@ -201,6 +206,10 @@ class RefinedGraph:
         for x, p in enumerate(self.parent_map):
             members[p].append(x)
         return tuple(tuple(c) for c in members)
+
+    def __getstate__(self) -> dict:
+        """Pickle state: the fields and ``cells``; private caches are rebuilt."""
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 def _nearest_original(g: BoundaryGraph, n_orig: int) -> list[int]:

@@ -39,6 +39,7 @@ from steklov import (
     trace_faces,
     with_boundary,
 )
+from steklov import graphs
 
 from helpers import (dense_laplacian, random_connected_graph, reference_boundary_graph,
                      reference_faces, spectrum_oracle)
@@ -261,10 +262,13 @@ def _half_sphere_certificate():
 ], ids=["gen_sphere", "sweep", "chain_bound", "certify_planar"])
 def test_faces_are_walked_once_per_build(run, monkeypatch):
     # Every build traces its faces once, in the Euler-parity check; nothing
-    # else walks them again, with_boundary copies included.
+    # else walks them again, with_boundary copies included.  Builds are
+    # counted at the builder's one entry point, which subdivision calls
+    # directly with its flat rings.
     calls = {"walk": 0, "build": 0}
     walk = RotationGraph.__dict__["faces"]
     original_walk = walk.func
+    entry = graphs._rotation_graph
 
     def counted_walk(rg):
         calls["walk"] += 1
@@ -272,13 +276,13 @@ def test_faces_are_walked_once_per_build(run, monkeypatch):
 
     def counted_build(*args, **kwargs):
         calls["build"] += 1
-        return build_rotation_graph(*args, **kwargs)
+        return entry(*args, **kwargs)
 
     monkeypatch.setattr(walk, "func", counted_walk)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "steklov" and \
-                getattr(module, "build_rotation_graph", None) is build_rotation_graph:
-            monkeypatch.setattr(module, "build_rotation_graph", counted_build)
+                getattr(module, "_rotation_graph", None) is entry:
+            monkeypatch.setattr(module, "_rotation_graph", counted_build)
     run()
     assert calls["build"] > 0
     assert calls["walk"] == calls["build"]

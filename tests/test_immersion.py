@@ -1,5 +1,8 @@
 """Edge-to-path immersions: verification, comparison bound, random routing."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -263,3 +266,38 @@ def test_chain_bound_matches_the_reference_router(builder, k, monkeypatch):
     got = chain_bound(builder(), None, k)
     monkeypatch.setattr(immersion, "random_immersion", reference_random_immersion)
     assert got == chain_bound(builder(), None, k)
+
+
+def counting_builds(monkeypatch):
+    built = []
+    original = immersion._build_routing
+
+    def spy(refined):
+        built.append(refined)
+        return original(refined)
+
+    monkeypatch.setattr(immersion, "_build_routing", spy)
+    return built
+
+
+def test_routing_tables_are_built_once_per_refinement(monkeypatch):
+    built = counting_builds(monkeypatch)
+    refined = refine(octahedron(), None, 2)
+    for seed in range(3):
+        assert witness(random_immersion(refined, seed)) == \
+            witness(reference_random_immersion(refined, seed))
+    assert built == [refined]
+    chain_bound(octahedron(), None, 2, seeds=(0, 1, 2))
+    chain_bound(icosahedron(), None, 1, seeds=(0, 1))
+    assert len(built) == 3 and len({id(r) for r in built}) == 3
+
+
+def test_pickles_drop_the_routing_tables():
+    refined = refine(icosahedron(), [0, 3, 7], 2)
+    refined.cells
+    first = random_immersion(refined, 5)
+    copy = pickle.loads(pickle.dumps(refined))
+    fields = {f.name for f in dataclasses.fields(refined)}
+    assert set(copy.__dict__) == fields | {"cells"}
+    assert copy.cells == refined.cells
+    assert witness(random_immersion(copy, 5)) == witness(first)
