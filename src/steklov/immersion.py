@@ -255,7 +255,7 @@ def _route(a, b, f, fp, rt: _Routing, rng) -> list[int]:
     coin = int(rng.integers(2))
     r = rt.r
     s = r + 1
-    ends = []
+    ends = []  # grid index x * s + y of each end, read in f's chart, else in fp's
     for vid in (a, b):
         w = rt.bary[f].get(vid)
         if w is not None:
