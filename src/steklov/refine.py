@@ -146,6 +146,17 @@ def _hex_subdivide_mapped(rg: RotationGraph):
     # a and b are the apexes of the faces carrying the darts (u, v) and (v, u).
     fa = nxt[darts.along]
     fb = nxt[darts.rev[darts.along]]
+    # a = b exactly when the dart after (v, a) is the reverse of (u, b): the
+    # two faces span the same three vertices, as the 3-vertex triangle
+    # sphere's do, and their inner triangles would coincide.
+    twin = np.flatnonzero(darts.rev[nxt[fa]] == fb)
+    if twin.size:
+        along = darts.along[twin[0]]
+        i, j = sorted(rg.dart_face[[along, darts.rev[along]]].tolist())
+        raise NotTriangulated(
+            f"hexagon subdivision requires faces on distinct vertex triples, but "
+            f"faces {i} {faces[i]} and {j} {faces[j]} both span vertices "
+            f"{', '.join(map(str, sorted(faces[i])))}")
     ring = np.stack((ea[:, 0], m[nxt[fa]], m[fa], ea[:, 1], m[nxt[fb]], m[fb]), axis=1)
     offsets = np.concatenate((darts.offsets, darts.offsets[-1] + 6 * np.arange(1, len(ea) + 1)))
     rotation = np.concatenate((m, ring.ravel()))

@@ -190,6 +190,16 @@ def test_domain_errors_exit_one(tmp_path, p3_file, capsys):
     assert capsys.readouterr().err.startswith("error: seed:")
 
 
+def test_triangle_sphere_is_refused_by_its_faces(tmp_path, capsys):
+    k3 = write_doc(tmp_path, "k3.json", GraphDocument(
+        n=3, edges=((0, 1), (0, 2), (1, 2)), boundary=(0,), rotation=((1, 2), (2, 0), (0, 1))))
+    for argv in (["subdivide", k3, "--k", "1"], ["immerse", k3, "--k", "1", "--seed", "0"]):
+        assert cli(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: hexagon subdivision requires faces on distinct vertex triples, but "
+            "faces 0 (0, 1, 2) and 1 (0, 2, 1) both span vertices 0, 1, 2\n")
+
+
 def test_convergence_failures_exit_two(tmp_path, capsys):
     rg = tetrahedron()
     doc = GraphDocument(n=4, edges=rg.edges, boundary=(0,), rotation=rg.rotation)

@@ -1,12 +1,13 @@
 """Triangulating faces and hexagonal refinement."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov import (
-    DuplicateEdge,
     NotTriangulated,
     ValidationError,
     boundary_growth,
@@ -104,12 +105,16 @@ def test_hex_subdivide_degree_bound():
 
 
 def test_k3_sphere_subdivision_degenerates():
-    # the two-triangle sphere on 3 vertices would need parallel edges
+    # the two-triangle sphere on 3 vertices would need parallel edges; it is
+    # refused by naming its faces, not the midpoints it would have made
     g = build_boundary_graph(3, [(0, 1), (0, 2), (1, 2)], [0])
     rg = build_rotation_graph(g, [[1, 2], [2, 0], [0, 1]])
     assert is_fully_triangulated(rg)
-    with pytest.raises(DuplicateEdge):
+    message = "faces 0 (0, 1, 2) and 1 (0, 2, 1) both span vertices 0, 1, 2"
+    with pytest.raises(NotTriangulated, match=re.escape(message)):
         hex_subdivide(rg)
+    with pytest.raises(NotTriangulated, match=re.escape(message)):
+        refine(rg, None, 1)
 
 
 def test_boundary_inheritance_single_vertex():

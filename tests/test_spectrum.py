@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steklov import (
@@ -463,10 +463,10 @@ def test_schur_route_factors_through_ldl(step, factorizations, monkeypatch):
 
 
 @st.composite
-def _shifted_systems(draw):
+def _shifted_systems(draw, shifts=st.floats(-4.0, -0.05)):
     """Any graph on n <= 12 vertices, isolated ones included, a boundary
-    holding at least one vertex of every component, a shift mu < 0 and a
-    right-hand side."""
+    holding at least one vertex of every component, a shift mu drawn from
+    ``shifts`` (mu < 0 by default) and a right-hand side."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -482,7 +482,7 @@ def _shifted_systems(draw):
     boundary = {draw(st.sampled_from([v for v in range(n) if find(v) == r]))
                 for r in {find(v) for v in range(n)}}
     boundary |= draw(st.sets(st.integers(0, n - 1)))
-    mu = draw(st.floats(-4.0, -0.05))
+    mu = draw(shifts)
     b = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
     return n, edges, sorted(boundary), mu, np.array(b)
 
@@ -499,3 +499,23 @@ def test_shift_lands_on_the_diagonal(case):
     shift[boundary] = 1.0
     want = np.linalg.solve(dense_laplacian(n, edges) - mu * np.diag(shift), b)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shifted_systems(shifts=st.floats(0.05, 4.0)))
+def test_ldl_pivot_signs_give_the_inertia(case):
+    # With mu > 0, L - mu B is in general indefinite; while perm_r equals
+    # perm_c the factor is LDL^T, and Sylvester's law makes its negative
+    # pivots the negative eigenvalues, which is what _inertia_certifies counts.
+    n, edges, boundary, mu, _ = case
+    shift = np.zeros(n)
+    shift[boundary] = 1.0
+    eigs = np.linalg.eigvalsh(dense_laplacian(n, edges) - mu * np.diag(shift))
+    assume(np.abs(eigs).min() > 1e-8)
+    L = laplacian(build_boundary_graph(n, edges, boundary))
+    try:
+        lu = _ldl(L, np.array(boundary), mu)
+    except RuntimeError:  # an exactly zero pivot, as _inertia_certifies allows
+        return
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        assert np.count_nonzero(lu.U.diagonal() < 0) == np.count_nonzero(eigs < 0)
