@@ -64,6 +64,14 @@ def _load(path: str):
     return document_to_graph(parse_document(text))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+
+
 def _need_rotation(g, what: str) -> RotationGraph:
     if not isinstance(g, RotationGraph):
         raise ValidationError(
@@ -130,8 +138,7 @@ def _cmd_pack(args) -> int:
     cp = circle_pack(_need_rotation(_load(args.file), "pack"))
     print(f"n {len(cp.radii)} residual {cp.residual:.3g}")
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(packing_svg(cp))
+        _write(args.svg, packing_svg(cp))
     return 0
 
 
@@ -170,8 +177,7 @@ def _cmd_gen(args) -> int:
         "genus": genus(rg),
         "max_degree": rg.base.max_degree,
     })
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_document(doc))
+    _write(args.output, serialize_document(doc))
     print(f"wrote {args.output} ({rg.n} vertices, {len(rg.edges)} edges)")
     return 0
 
@@ -181,11 +187,9 @@ def _cmd_sweep(args) -> int:
     text = records_to_csv(records)
     print(text, end="")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.csv, text)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(sweep_svg(records))
+        _write(args.svg, sweep_svg(records))
     return 0
 
 

@@ -18,16 +18,16 @@ the first offending element, in input order, goes through the scalar rule
 
 Darts are laid out in CSR order over ``rotation``: dart ``d`` is the d-th
 entry of the concatenated rings, so the darts of ``v`` are ``(v, w)`` for
-``w`` in ``rotation[v]``, in that order.  :class:`_Darts` holds the
-per-dart arrays of that layout (edge index, reverse dart, face successor)
-and is the only description of it (``dart_face`` is indexed by its ids).
+``w`` in ``rotation[v]``, in that order.  :class:`_Darts` holds its arrays
+and the one face layout, derived by array operations as the rotation is
+built: face f starts at its lowest dart ``first[f]`` and has ``size[f]``
+darts.  Builds read these arrays; only the public ``faces`` walks them.
 
 What does not depend on the boundary (components, the neighbour CSR, the
-dart arrays, faces, the dart-to-face index, the Laplacian and its diagonal
-index, the grounded factor that resistance keeps, and the radii, centers,
-residual and outer face of a circle packing) is computed once per graph,
-cached on it and carried to the copies :func:`with_boundary` makes;
-:func:`build_rotation_graph` traces the faces.  Functions that take "a
+dart arrays, faces, the Laplacian and its diagonal index, the grounded
+factor that resistance keeps, and the radii, centers, residual and outer
+face of a circle packing) is computed once per graph, cached on it and
+carried to the copies :func:`with_boundary` makes.  Functions that take "a
 graph" accept either kind and read the :class:`BoundaryGraph` through
 :func:`_base`.
 """
@@ -143,17 +143,26 @@ class BoundaryGraph:
 
 
 class _Darts(NamedTuple):
-    """Per-dart arrays of a rotation graph, in CSR order over ``rotation``.
+    """Per-dart arrays of a rotation graph (CSR order over ``rotation``) and its faces.
 
     Dart ``d`` in ``offsets[v] .. offsets[v + 1] - 1`` is ``(v, w)`` with
     ``w = rotation[v][d - offsets[v]]``.
     """
 
     offsets: np.ndarray  # (n + 1,) ring starts
+    tail: np.ndarray     # the dart's tail v
     edge: np.ndarray     # index in ``edges`` of the dart's edge
     rev: np.ndarray      # the reverse dart (w, v)
     next: np.ndarray     # the dart after d on its face
     along: np.ndarray    # (E,) the dart (u, v) of each edge (u, v), u < v
+    face: np.ndarray     # the face of the dart
+    first: np.ndarray    # (F,) the lowest dart of each face, where its walk starts
+    size: np.ndarray     # (F,) the number of darts of each face
+
+    def corners(self, faces=slice(None)) -> np.ndarray:
+        """(.., 3) the first three darts of each face walk: a triangle's darts."""
+        d = self.first[faces]
+        return np.stack((d, self.next[d], self.next[self.next[d]]), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -175,35 +184,23 @@ class RotationGraph:
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Face walks of the embedding, traced once (see :func:`trace_faces`)."""
+        """Face walks of the embedding (see :func:`trace_faces`), walked on first use."""
         darts = self._darts
-        heads = list(chain.from_iterable(self.rotation))
-        tails = list(map(heads.__getitem__, darts.rev.tolist()))
-        nxt = darts.next.tolist()
-        seen = bytearray(len(nxt))
-        faces: list[tuple[int, ...]] = []
-        for start in range(len(nxt)):
-            if seen[start]:
-                continue
+        nxt, tail = darts.next.tolist(), darts.tail.tolist()
+        faces = []
+        for d, k in zip(darts.first.tolist(), darts.size.tolist()):
             walk = []
-            d = start
-            while not seen[d]:
-                seen[d] = 1
-                walk.append(tails[d])
+            for _ in range(k):
+                walk.append(tail[d])
                 d = nxt[d]
             faces.append(tuple(walk))
         return tuple(faces)
 
-    @cached_property
+    @property
     def dart_face(self) -> np.ndarray:
         """Read-only int array: the index in ``faces`` of the face of each dart
-        (dart (u, v) is ``offsets[u] + rotation[u].index(v)``).  Faces are the
-        cycles of ``next``, labelled as components without a second walk; SciPy
-        numbers them by lowest dart, where each walk of ``faces`` starts."""
-        nxt = self._darts.next
-        cycles = scipy.sparse.coo_matrix((np.ones(len(nxt)), (np.arange(len(nxt)), nxt)),
-                                         shape=(len(nxt),) * 2)
-        return _frozen(scipy.sparse.csgraph.connected_components(cycles, directed=False)[1])[0]
+        (dart (u, v) is ``offsets[u] + rotation[u].index(v)``)."""
+        return self._darts.face
 
     __getstate__ = _fields_only
 
@@ -232,6 +229,14 @@ def _check_int(x, what: str, low: int, high: int | None = None,
     if high is not None and x >= high:
         raise error(f"{what}: {x} is out of range (must be < {high})")
     return int(x)
+
+
+def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """The package's one finiteness rule: ``x``, or ValidationError at its first NaN or inf row."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(1, x.ndim))))
+    if bad.size:
+        raise ValidationError(f"{what}: row {bad[0]} is not finite: {x[bad[0]]}")
+    return x
 
 
 def _check_vertex(x, n: int, what: str) -> int:
@@ -371,8 +376,7 @@ def _canonical_boundary(boundary: Iterable[int], n: int) -> np.ndarray:
 # ``_grounded`` is the factor of the grounded Laplacian that resistance keeps,
 # ``_packing`` the boundary-free part of :func:`packing.circle_pack`'s result.
 _CARRIED = ("neighbors", "edge_set", "edge_array", "degrees", "components",
-            "_adjacency", "_laplacian", "_grounded", "_darts", "faces", "dart_face",
-            "_packing")
+            "_adjacency", "_laplacian", "_grounded", "_darts", "faces", "_packing")
 
 
 def _base(g) -> BoundaryGraph:
@@ -438,7 +442,19 @@ def _dart_layout(g: BoundaryGraph, flat: np.ndarray, offsets: np.ndarray) -> _Da
     turn = np.arange(1, len(flat) + 1)
     full = lens > 0
     turn[offsets[1:][full] - 1] = offsets[:-1][full]
-    return _Darts(*_frozen(offsets, edge, rev, turn[rev], along))
+    nxt = turn[rev]
+    # Window doubling: low[d] is the lowest of the 2**k darts from d on its
+    # face.  While a face is longer than the window, doubling lowers the
+    # window that ends just before its lowest dart, so the rounds (about log2
+    # of the longest face) stop once every window covers its face.
+    low, jump = np.arange(len(flat)), nxt
+    while not np.array_equal(low, step := np.minimum(low, low[jump])):
+        low, jump = step, jump[jump]
+    lowest = low == np.arange(len(flat))
+    face = (np.cumsum(lowest) - 1)[low]
+    first = np.flatnonzero(lowest)
+    return _Darts(*_frozen(offsets, tail, edge, rev, nxt, along, face, first,
+                           np.bincount(face, minlength=len(first))))
 
 
 def build_rotation_graph(g: BoundaryGraph,
@@ -462,7 +478,7 @@ def _rotation_graph(g: BoundaryGraph, flat: np.ndarray, offsets: np.ndarray) -> 
     rg = RotationGraph(base=g, rotation=_rings(flat, offsets))
     rg.__dict__["_darts"] = darts
     # Orientable maps always have even Euler characteristic; cheap sanity net.
-    chi = g.n - len(g.edges) + len(rg.faces)
+    chi = g.n - len(g.edges) + len(darts.first)
     if chi % 2 != 0:
         raise MalformedRotation(f"face trace gave odd Euler characteristic {chi}")
     return rg
@@ -488,9 +504,9 @@ def trace_faces(rg: RotationGraph) -> tuple[tuple[int, ...], ...]:
     ``(v, w)`` where ``w`` is the successor of ``u`` in the rotation at
     ``v``.  Every directed edge lies on exactly one face; each face is
     reported as the cyclic vertex sequence ``(w0, w1, ..., w_{L-1})`` whose
-    directed edges are ``(w_i, w_{i+1 mod L})``.  Order of faces is
-    deterministic (first unvisited dart in vertex/rotation order).
-    Returns ``rg.faces``: one trace per graph, carried by :func:`with_boundary`.
+    directed edges are ``(w_i, w_{i+1 mod L})``.  Faces are numbered by
+    their lowest dart in vertex/rotation order, where each walk starts.
+    Returns ``rg.faces``: one walk per graph, carried by :func:`with_boundary`.
     """
     return rg.faces
 
@@ -509,9 +525,9 @@ def genus(rg: RotationGraph) -> int:
     """
     if not is_connected(rg.base):
         raise Disconnected("genus is only defined for connected graphs")
-    return (2 - rg.n + len(rg.edges) - len(rg.faces)) // 2
+    return (2 - rg.n + len(rg.edges) - len(rg._darts.first)) // 2
 
 
 def is_fully_triangulated(rg: RotationGraph) -> bool:
     """True when every face of the embedding is a triangle."""
-    return all(len(f) == 3 for f in rg.faces)
+    return bool((rg._darts.size == 3).all())

@@ -41,6 +41,7 @@ from .graphs import (
     build_boundary_graph,
     build_rotation_graph,
     is_connected,
+    is_fully_triangulated,
     with_boundary,
 )
 from .refine import _clip_face, hex_subdivide
@@ -301,22 +302,18 @@ def _attach_handle(rg: RotationGraph, fa, fb) -> RotationGraph:
     With the new darts inserted at the corners of fa and fb, the two
     triangles merge into one octagonal walk (Euler characteristic drops by
     2); clipping ears off that walk restores a triangulation one genus up.
-    Only the walk is traced, and the result is built and validated once.
+    The result is built and validated once.
     """
     va, xa, ya = fa
     vb, xb, yb = fb
     rot = [list(r) for r in rg.rotation]
     rot[va].insert(rot[va].index(ya) + 1, vb)
     rot[vb].insert(rot[vb].index(yb) + 1, va)
-    walk, dart = [], (va, vb)
-    while not walk or dart != (va, vb):
-        u, v = dart
-        walk.append(u)
-        dart = (v, rot[v][(rot[v].index(u) + 1) % len(rot[v])])
+    # The new dart (va, vb) turns into fb, and (vb, va) back into fa.
+    walk = [va, vb, xb, yb, vb, va, xa, ya]
     # Start the walk at its first dart in vertex/rotation order, where
     # trace_faces starts a face: the ear clipping depends on the start.
-    m = len(walk)
-    i = min(range(m), key=lambda j: (walk[j], rot[walk[j]].index(walk[(j + 1) % m])))
+    i = min(range(8), key=lambda j: (walk[j], rot[walk[j]].index(walk[(j + 1) % 8])))
     walk = walk[i:] + walk[:i]
     new = (min(va, vb), max(va, vb))
     edge_set = set(rg.base.edge_set) | {new}
@@ -333,8 +330,9 @@ def _add_handle(rg: RotationGraph) -> RotationGraph:
     chords.  The scan order is deterministic.  A candidate is accepted
     when it is connected, all triangles and one genus up.
     """
-    chi = rg.n - len(rg.edges) + len(rg.faces) - 2  # Euler characteristic one genus up
-    faces = [f for f in rg.faces if len(f) == 3]
+    darts = rg._darts
+    chi = rg.n - len(rg.edges) + len(darts.first) - 2  # Euler characteristic one genus up
+    faces = darts.tail[darts.corners(darts.size == 3)].tolist()
     eset = rg.base.edge_set
     for ia in range(len(faces)):
         fa = faces[ia]
@@ -351,9 +349,8 @@ def _add_handle(rg: RotationGraph) -> RotationGraph:
                         out = _attach_handle(rg, fa[ra:] + fa[:ra], fb[rb:] + fb[:rb])
                     except (NonCycleFace, DuplicateEdge, MalformedRotation):
                         continue
-                    if (out.n - len(out.edges) + len(out.faces) == chi
-                            and all(len(f) == 3 for f in out.faces)
-                            and is_connected(out.base)):
+                    if (out.n - len(out.edges) + len(out._darts.first) == chi
+                            and is_fully_triangulated(out) and is_connected(out.base)):
                         return out
     raise TooSmall("no face pair is far enough apart to attach a handle; "
                    "increase the resolution")
@@ -409,7 +406,7 @@ def _policy_boundary(rg: RotationGraph, policy: str) -> list[int]:
     if policy == "all-vertices":
         return list(range(rg.n))
     if policy == "single-face":
-        return sorted(set(rg.faces[0]))
+        return np.unique(rg._darts.tail[rg._darts.face == 0]).tolist()
     if policy.startswith("random-fraction:"):
         parts = policy.split(":")
         if len(parts) != 3:

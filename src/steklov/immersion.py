@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .graphs import BoundaryGraph, RotationGraph, _seeded_rng, is_connected
+from .graphs import BoundaryGraph, RotationGraph, _rings, _seeded_rng, is_connected
 from .refine import RefinedGraph, refine
 from .spectrum import lambda_k
 
@@ -175,9 +175,8 @@ def _build_routing(refined: RefinedGraph) -> _Routing:
     # Each face's walk from its lowest dart, as ``source.faces`` traces it: slot i
     # of face f holds the tail of walk[f, i].  Two faces share at most one edge
     # (a triangle whose two faces share all three does not subdivide).
-    darts, face = src._darts, src.dart_face
-    first = np.unique(face, return_index=True)[1]
-    walk = np.stack((first, darts.next[first], darts.next[darts.next[first]]), axis=1)
+    darts, face = src._darts, src._darts.face
+    walk = darts.corners()
     slot = np.empty(len(face), dtype=np.int64)
     slot[walk] = np.arange(3)
     partner = face[darts.rev[walk]]  # partner[f, i]: the face across walk[f, i]
@@ -197,8 +196,7 @@ def _build_routing(refined: RefinedGraph) -> _Routing:
 
     # Representative pools: the refined vertices of v's cell in the faces at v,
     # each with the rotation positions (ascending) of the faces holding it.
-    offsets = darts.offsets
-    tail = np.repeat(np.arange(src.n), np.diff(offsets))
+    offsets, tail = darts.offsets, darts.tail
     at_dart = members[face]
     t, k = np.nonzero(np.asarray(refined.parent_map)[at_dart] == tail[:, None])
     order = np.lexsort((at_dart[t, k], tail[t]))  # stable: positions stay ascending
@@ -219,14 +217,13 @@ def _build_routing(refined: RefinedGraph) -> _Routing:
     keep = np.ones(both.shape, dtype=bool)
     keep[:, 1:] = both[:, 1:] != both[:, :-1]
     flat, cut = both[keep].tolist(), [0, *np.cumsum(keep.sum(axis=1)).tolist()]
-    face_l, rings = face.tolist(), offsets.tolist()
     return _Routing(
         r=r,
         pairs=pairs,
         bary=bary,
         ids=ids.tolist(),
         adjacent=[sorted(set(row) - {g}) for g, row in enumerate(partner.tolist())],
-        faces_at=[face_l[p:q] for p, q in zip(rings, rings[1:])],
+        faces_at=_rings(face, offsets),
         spots=spots,
         reps=[list(sp) for sp in spots],
         edges=list(zip(lo.tolist(), hi.tolist(), (flat[p:q] for p, q in zip(cut, cut[1:])))),

@@ -33,7 +33,7 @@ from .errors import (
     NotTriangulated,
     TooSmall,
 )
-from .graphs import RotationGraph, _frozen, is_connected, with_boundary
+from .graphs import RotationGraph, _check_finite, _frozen, is_connected, with_boundary
 from .spectrum import _ldl, lambda_k, vector_rayleigh_bound
 
 # Newton converges quadratically, so it is run to near roundoff rather than
@@ -115,22 +115,22 @@ def _pack(rg: RotationGraph) -> tuple:
     arrays read-only."""
     if not is_connected(rg.base):
         raise Disconnected("circle packing needs a connected graph")
-    faces = rg.faces
-    if rg.n - len(rg.edges) + len(faces) != 2:
+    darts = rg._darts
+    if rg.n - len(rg.edges) + len(darts.first) != 2:
         raise NonzeroGenus("circle packing is only computed for genus-0 embeddings")
     if rg.n < 4:
         raise TooSmall("circle packing needs at least 4 vertices")
-    big = [i for i, f in enumerate(faces) if len(f) != 3]
+    big = np.flatnonzero(darts.size != 3)
     if len(big) > 1:
         raise NotTriangulated(
             f"{len(big)} faces are not triangles; only the outer face may be larger"
         )
-    outer_pos = big[0] if big else 0
-    outer = faces[outer_pos]
-    pinned = set(outer)
-    interior = np.array(
-        [v for v in range(rg.n) if v not in pinned], dtype=np.int64
-    )
+    outer_pos = int(big[0]) if big.size else 0
+    ring = [darts.first[outer_pos]]  # the outer face's darts in walk order
+    while len(ring) < darts.size[outer_pos]:
+        ring.append(darts.next[ring[-1]])
+    outer = tuple(darts.tail[ring].tolist())
+    interior = np.setdiff1d(np.arange(rg.n), outer)
 
     radii = np.ones(rg.n)
     residual = 0.0
@@ -138,7 +138,7 @@ def _pack(rg: RotationGraph) -> tuple:
         m = interior.size
         slot = np.full(rg.n, -1, dtype=np.int64)
         slot[interior] = np.arange(m)
-        tri = np.array([f for i, f in enumerate(faces) if i != outer_pos])
+        tri = darts.tail[darts.corners(np.arange(len(darts.first)) != outer_pos)]
         wedges = np.concatenate([np.roll(tri, -i, axis=1) for i in range(3)])
         wedges = wedges[slot[wedges[:, 0]] >= 0]
         wvert, wa, wb = wedges.T
@@ -188,11 +188,11 @@ def _pack(rg: RotationGraph) -> tuple:
             )
         residual = err
 
-    centers = _layout(rg, outer_pos, radii)
+    centers = _layout(rg, ring, radii)
     return (*_frozen(radii, centers), residual, outer)
 
 
-def _layout(rg: RotationGraph, outer_pos: int, radii) -> np.ndarray:
+def _layout(rg: RotationGraph, ring: list, radii) -> np.ndarray:
     """Centers over the faces inside the outer one, placed by breadth-first
     search of the dual graph one level at a time.
 
@@ -203,28 +203,22 @@ def _layout(rg: RotationGraph, outer_pos: int, radii) -> np.ndarray:
     across it, whose apex is ``head[next[g]]``, and p and q lie on the
     level before.  A level's faces are entered in queue order, each by its
     first dart, and an apex not yet placed is placed from the first of them
-    that has it.
+    that has it.  ``ring`` lists the outer face's darts in walk order.
     """
-    darts, face = rg._darts, rg.dart_face
-    rev, nxt = darts.rev, darts.next
-    tail = np.repeat(np.arange(rg.n), np.diff(darts.offsets))
+    darts = rg._darts
+    rev, nxt, tail, face = darts.rev, darts.next, darts.tail, darts.face
     head = tail[rev]
-    first = np.unique(face, return_index=True)[1]  # where each face walk starts
-
-    d = first[outer_pos]
-    for _ in rg.faces[outer_pos]:
-        if face[rev[d]] != outer_pos:
-            break
-        d = nxt[d]
-    else:
+    outer_pos = face[ring[0]]
+    inward = rev[ring][face[rev[ring]] != outer_pos]  # the darts entering a triangle
+    if not inward.size:
         raise Disconnected("no triangle is adjacent to the outer face")
 
     centers = np.full((rg.n, 2), np.nan)
-    g = rev[d:d + 1]
+    g = inward[:1]
     p, q = tail[g[0]], head[g[0]]
     centers[p] = (0.0, 0.0)
     centers[q] = (radii[p] + radii[q], 0.0)
-    visited = np.zeros(len(rg.faces), dtype=bool)
+    visited = np.zeros(len(darts.first), dtype=bool)
     visited[outer_pos] = True
     while g.size:
         level = face[g]
@@ -241,8 +235,7 @@ def _layout(rg: RotationGraph, outer_pos: int, radii) -> np.ndarray:
         direction = np.stack([ca * u[:, 0] - sa * u[:, 1], sa * u[:, 0] + ca * u[:, 1]], axis=1)
         centers[s] = centers[p] + (radii[p] + radii[s])[:, None] * direction
 
-        ring = first[level]
-        g = rev[np.stack([ring, nxt[ring], nxt[nxt[ring]]], axis=1).ravel()]
+        g = rev[darts.corners(level).ravel()]
         g = g[~visited[face[g]]]
         g = g[np.sort(np.unique(face[g], return_index=True)[1])]
 
@@ -299,7 +292,7 @@ def mobius_normalize(sc: SphereConfiguration, subset=None) -> SphereConfiguratio
     sub_idx = list(sc.boundary if subset is None else subset)
     if not sub_idx:
         raise EmptyBoundary("cannot normalize over an empty subset")
-    out = np.asarray(sc.points, dtype=float)
+    out = _check_finite(np.asarray(sc.points, dtype=float), "points")
     # Sums over rows and BLAS products round by memory layout, so only a
     # C-ordered array (as every lift is) may stand in for its subset copy.
     whole = out.flags.c_contiguous and sub_idx == list(range(len(out)))
@@ -373,7 +366,7 @@ def certify_planar_bound(rg: RotationGraph, boundary=None) -> dict:
     lam2 = lambda_k(g2, 2)
     nb = len(g2.boundary)
     dmax = g2.base.max_degree
-    if lam2 > b_geom + 1e-8:
+    if not lam2 <= b_geom + 1e-8:  # a NaN on either side fails too
         raise ConvergenceFailure(
             f"certificate unsound: lambda2 {lam2:.12g} exceeds bound {b_geom:.12g}"
         )

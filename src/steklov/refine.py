@@ -24,6 +24,7 @@ from .graphs import (
     _rotation_graph,
     build_boundary_graph,
     build_rotation_graph,
+    is_fully_triangulated,
     with_boundary,
 )
 
@@ -54,9 +55,8 @@ def fully_triangulate(rg: RotationGraph) -> RotationGraph:
     out = build_rotation_graph(
         build_boundary_graph(rg.n, all_edges, rg.boundary), rot
     )
-    leftover = [f for f in out.faces if len(f) != 3]
-    if leftover:  # pragma: no cover - guarded by the clipping loop
-        raise NonCycleFace(f"face {leftover[0]} survived triangulation")
+    if not is_fully_triangulated(out):  # pragma: no cover - guarded by the clipping loop
+        raise NonCycleFace("a face survived triangulation")
     return out
 
 
@@ -123,10 +123,18 @@ def _clip_at(walk, i, rot, edge_set, all_edges):
     del walk[i]
 
 
-def _hex_subdivide_mapped(rg: RotationGraph):
-    """One subdivision step; also returns the edge -> midpoint-id map."""
-    faces = rg.faces
-    if any(len(f) != 3 for f in faces):
+def hex_subdivide(rg: RotationGraph) -> RotationGraph:
+    """Replace each triangular face by four triangles using edge midpoints.
+
+    Original vertices keep their ids and degrees; the midpoint of edge e
+    gets id n + (index of e in the sorted edge list) and is adjacent to
+    its two endpoints and the midpoints of the co-facial edges.  Counts
+    follow V' = V + E, E' = 2E + 3F, F' = 4F, so the Euler characteristic
+    (and hence the genus) is unchanged.  A new vertex joins the boundary
+    when its nearest original vertex (smallest index among the two
+    endpoints) is a boundary vertex.
+    """
+    if not is_fully_triangulated(rg):
         raise NotTriangulated("hexagon subdivision requires every face to be a triangle")
     n, ea, darts = rg.n, rg.base.edge_array, rg._darts
     mids = np.arange(n, n + len(ea))
@@ -135,9 +143,7 @@ def _hex_subdivide_mapped(rg: RotationGraph):
     # Each edge joins its endpoints to its midpoint; each face (x, y, z), in
     # trace order from its first dart, gets the inner triangle on the
     # midpoints of (x, y), (y, z) and (z, x).
-    d = np.arange(len(nxt))
-    first = np.flatnonzero((d < nxt) & (d < nxt[nxt]))
-    walk = np.stack((first, nxt[first], nxt[nxt[first]]), axis=1).ravel()
+    walk = darts.corners().ravel()
     new_edges = np.concatenate((
         np.stack((ea[:, 0], mids, ea[:, 1], mids), axis=1).reshape(-1, 2),
         np.stack((m[walk], m[nxt[walk]]), axis=1)))
@@ -152,11 +158,12 @@ def _hex_subdivide_mapped(rg: RotationGraph):
     twin = np.flatnonzero(darts.rev[nxt[fa]] == fb)
     if twin.size:
         along = darts.along[twin[0]]
-        i, j = sorted(rg.dart_face[[along, darts.rev[along]]].tolist())
+        i, j = sorted(darts.face[[along, darts.rev[along]]].tolist())
+        a, b = darts.tail[darts.corners([i, j])].tolist()
         raise NotTriangulated(
             f"hexagon subdivision requires faces on distinct vertex triples, but "
-            f"faces {i} {faces[i]} and {j} {faces[j]} both span vertices "
-            f"{', '.join(map(str, sorted(faces[i])))}")
+            f"faces {i} {tuple(a)} and {j} {tuple(b)} both span vertices "
+            f"{', '.join(map(str, sorted(a)))}")
     ring = np.stack((ea[:, 0], m[nxt[fa]], m[fa], ea[:, 1], m[nxt[fb]], m[fb]), axis=1)
     offsets = np.concatenate((darts.offsets, darts.offsets[-1] + 6 * np.arange(1, len(ea) + 1)))
     rotation = np.concatenate((m, ring.ravel()))
@@ -165,22 +172,7 @@ def _hex_subdivide_mapped(rg: RotationGraph):
     on_boundary[list(rg.boundary)] = True
     new_boundary = list(rg.boundary) + mids[on_boundary[ea[:, 0]]].tolist()
     base = build_boundary_graph(n + len(ea), new_edges, new_boundary)
-    return _rotation_graph(base, rotation, offsets), dict(zip(rg.edges, mids.tolist()))
-
-
-def hex_subdivide(rg: RotationGraph) -> RotationGraph:
-    """Replace each triangular face by four triangles using edge midpoints.
-
-    Original vertices keep their ids and degrees; the midpoint of edge e
-    gets id n + (index of e in the sorted edge list) and is adjacent to
-    its two endpoints and the midpoints of the co-facial edges.  Counts
-    follow V' = V + E, E' = 2E + 3F, F' = 4F, so the Euler characteristic
-    (and hence the genus) is unchanged.  A new vertex joins the boundary
-    when its nearest original vertex (smallest index among the two
-    endpoints) is a boundary vertex.
-    """
-    out, _ = _hex_subdivide_mapped(rg)
-    return out
+    return _rotation_graph(base, rotation, offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,27 +252,25 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
     if boundary is None:
         boundary = rg.boundary
     k = _check_int(k, "refinement level", 0)
-    faces = rg.faces  # with_boundary carries them to src
-    if any(len(f) != 3 for f in faces):
+    if not is_fully_triangulated(rg):
         raise NotTriangulated("refinement requires a fully triangulated input")
     src = with_boundary(rg, boundary)
-    lattices: list[dict] = [{(0, 0): f[0], (1, 0): f[1], (0, 1): f[2]} for f in faces]
-
+    # The lattices share their keys, so they are one array with a column of
+    # vertex ids per key.  A step doubles the keys and puts the midpoint of
+    # each lattice edge, n + its index in the sorted edges, between its ends.
+    keys, ids = [(0, 0), (1, 0), (0, 1)], rg._darts.tail[rg._darts.corners()]
     cur = src
     for _ in range(k):
-        cur, mid = _hex_subdivide_mapped(cur)
-        doubled = []
-        for lat in lattices:
-            nl = {(2 * a, 2 * b): vid for (a, b), vid in lat.items()}
-            for (a, b), vid in lat.items():
-                for da, db in ((1, 0), (0, 1), (1, -1)):
-                    w = lat.get((a + da, b + db))
-                    if w is not None:
-                        nl[(2 * a + da, 2 * b + db)] = (
-                            mid[(vid, w)] if vid < w else mid[(w, vid)]
-                        )
-            doubled.append(nl)
-        lattices = doubled
+        n, ea = cur.n, cur.base.edge_array
+        cur = hex_subdivide(cur)
+        col = {key: c for c, key in enumerate(keys)}
+        at, to, middle = zip(*[(c, col[a + da, b + db], (2 * a + da, 2 * b + db))
+                             for c, (a, b) in enumerate(keys)
+                             for da, db in ((1, 0), (0, 1), (1, -1)) if (a + da, b + db) in col])
+        x, y = ids[:, list(at)], ids[:, list(to)]
+        edge = np.searchsorted(ea[:, 0] * n + ea[:, 1], np.minimum(x, y) * n + np.maximum(x, y))
+        ids = np.concatenate((ids, n + edge), axis=1)
+        keys = [(2 * a, 2 * b) for a, b in keys] + list(middle)
 
     parent = _nearest_original(cur.base, src.n)
     bset = set(src.boundary)
@@ -291,7 +281,7 @@ def refine(rg: RotationGraph, boundary, k: int) -> RefinedGraph:
         parent_map=tuple(parent),
         inherited_boundary=inherited,
         source=src,
-        face_lattices=tuple(lattices),
+        face_lattices=tuple(dict(zip(keys, row)) for row in ids.tolist()),
         resolution=1 << k,
     )
 

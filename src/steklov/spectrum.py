@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
     ZeroBoundaryNorm,
 )
-from .graphs import BoundaryGraph, _base, _check_int, _seeded_rng, laplacian
+from .graphs import BoundaryGraph, _base, _check_finite, _check_int, _seeded_rng, laplacian
 
 # Relative residual allowed for the symmetric eigensolves.
 _EIG_TOL = 1e-9
@@ -431,6 +431,7 @@ def rayleigh_quotient(g, f) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != (base.n,):
         raise IndexOutOfRange(f"expected shape ({base.n},), got {f.shape}")
+    _check_finite(f, "test function")
     den = float(np.sum(f[list(base.boundary)] ** 2))
     if den == 0.0:
         raise ZeroBoundaryNorm("test function vanishes on the boundary")
@@ -452,6 +453,7 @@ def vector_rayleigh_bound(g, v) -> float:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != base.n:
         raise IndexOutOfRange(f"expected shape ({base.n}, d), got {v.shape}")
+    _check_finite(v, "test map")
     bidx = list(base.boundary)
     c = v[bidx].sum(axis=0)
     bnorm = float(np.sqrt(np.sum(v[bidx] ** 2)))

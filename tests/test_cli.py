@@ -190,6 +190,20 @@ def test_domain_errors_exit_one(tmp_path, p3_file, capsys):
     assert capsys.readouterr().err.startswith("error: seed:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "octahedron", "-o", "{missing}/g.json"],
+    ["pack", "{tetra}", "--svg", "{missing}/p.svg"],
+    ["sweep", "--gmax", "1", "--res", "3", "--csv", "{missing}/s.csv"],
+    ["sweep", "--gmax", "1", "--res", "3", "--svg", "{missing}/s.svg"],
+], ids=["gen", "pack", "sweep_csv", "sweep_svg"])
+def test_unwritable_output_exits_one(argv, tmp_path, tetra_file, capsys):
+    missing = tmp_path / "no-such-dir"
+    argv = [a.format(missing=missing, tetra=tetra_file) for a in argv]
+    assert cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}/")
+    assert not missing.exists()
+
+
 def test_triangle_sphere_is_refused_by_its_faces(tmp_path, capsys):
     k3 = write_doc(tmp_path, "k3.json", GraphDocument(
         n=3, edges=((0, 1), (0, 2), (1, 2)), boundary=(0,), rotation=((1, 2), (2, 0), (0, 1))))

@@ -254,24 +254,24 @@ def _half_sphere_certificate():
     return certify_planar_bound(rg, range(rg.n // 2))
 
 
-@pytest.mark.parametrize("run", [
-    lambda: gen_sphere(3),
-    lambda: sweep_main_bound(3, 10),
-    lambda: chain_bound(octahedron(), None, 2),
-    _half_sphere_certificate,
+@pytest.mark.parametrize("run,walks", [
+    (lambda: gen_sphere(3), False),
+    (lambda: sweep_main_bound(3, 10), False),
+    (lambda: chain_bound(octahedron(), None, 2), True),
+    (_half_sphere_certificate, True),
 ], ids=["gen_sphere", "sweep", "chain_bound", "certify_planar"])
-def test_faces_are_walked_once_per_build(run, monkeypatch):
-    # Every build traces its faces once, in the Euler-parity check; nothing
-    # else walks them again, with_boundary copies included.  Builds are
-    # counted at the builder's one entry point, which subdivision calls
-    # directly with its flat rings.
-    calls = {"walk": 0, "build": 0}
+def test_faces_are_walked_once_per_build(run, walks, monkeypatch):
+    # Builds read the face layout of the dart arrays and walk no faces; a
+    # graph walks its faces at most once, with_boundary copies included.
+    # Builds are counted at the builder's one entry point, which subdivision
+    # calls directly with its flat rings.
+    walked, calls = [], {"build": 0}
     walk = RotationGraph.__dict__["faces"]
     original_walk = walk.func
     entry = graphs._rotation_graph
 
     def counted_walk(rg):
-        calls["walk"] += 1
+        walked.append(rg._darts)  # shared by with_boundary copies
         return original_walk(rg)
 
     def counted_build(*args, **kwargs):
@@ -285,7 +285,8 @@ def test_faces_are_walked_once_per_build(run, monkeypatch):
             monkeypatch.setattr(module, "_rotation_graph", counted_build)
     run()
     assert calls["build"] > 0
-    assert calls["walk"] == calls["build"]
+    assert walks or not walked
+    assert len(set(map(id, walked))) == len(walked)
 
 
 def test_trace_faces_reads_the_build_trace():
@@ -419,6 +420,33 @@ def test_faces_match_the_reference_walk(seed):
     faces, dart_face = reference_faces(rotation)
     assert rg.faces == faces
     assert rg.dart_face.tolist() == by_dart_id(rg, dart_face)
+    assert_face_layout(rg, faces, dart_face)
+
+
+def assert_face_layout(rg, faces, dart_face):
+    """The face starts and lengths of ``rg``, its genus and its triangle
+    check agree with the reference walk's ``faces`` and ``dart_face``."""
+    labels = by_dart_id(rg, dart_face)
+    starts = {}
+    for d, f in enumerate(labels):
+        starts.setdefault(f, d)
+    assert rg._darts.first.tolist() == [starts[f] for f in range(len(faces))]
+    assert rg._darts.size.tolist() == [len(f) for f in faces]
+    assert genus(rg) == (2 - rg.n + len(rg.edges) - len(faces)) // 2
+    assert is_fully_triangulated(rg) == all(len(f) == 3 for f in faces)
+
+
+def test_one_long_face_matches_the_reference_walk():
+    # a path on 20 000 shuffled vertices has one face of 39 998 darts, whose
+    # lowest dart takes 16 doubling rounds to reach every dart
+    n = 20_000
+    order = np.random.Generator(np.random.Philox(7)).permutation(n)
+    g = build_boundary_graph(n, np.stack((order[:-1], order[1:]), axis=1), [0])
+    rg = build_rotation_graph(g, g.neighbors)
+    faces, dart_face = reference_faces(g.neighbors)
+    assert len(faces) == 1 and rg.faces == faces
+    assert rg.dart_face.tolist() == by_dart_id(rg, dart_face)
+    assert_face_layout(rg, faces, dart_face)
 
 
 # sha256 of repr((edges, boundary, rotation, faces)): construction is fixed

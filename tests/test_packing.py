@@ -22,6 +22,7 @@ from steklov import (
     NotTriangulated,
     SphereConfiguration,
     TooSmall,
+    ValidationError,
     build_boundary_graph,
     build_rotation_graph,
     certify_planar_bound,
@@ -309,6 +310,21 @@ def test_mobius_centres_exactly_half_at_one_point():
     pts = np.vstack([np.tile([0.0, 0.0, 1.0], (5, 1)), tail])
     out = mobius_normalize(SphereConfiguration(points=pts, boundary=tuple(range(10))))
     assert np.linalg.norm(out.boundary_centroid) <= 1e-7
+
+
+@pytest.mark.parametrize("subset", [range(6), range(4)], ids=["in_subset", "outside"])
+def test_mobius_refuses_non_finite_points(subset):
+    pts = np.vstack([np.eye(3), -np.eye(3)])
+    pts[4, 0] = np.nan
+    pts[5, 2] = np.inf
+    with pytest.raises(ValidationError, match="points: row 4 is not finite"):
+        mobius_normalize(SphereConfiguration(points=pts, boundary=tuple(subset)))
+
+
+def test_certificate_refuses_a_nan_lambda2(monkeypatch):
+    monkeypatch.setattr(packing_module, "lambda_k", lambda g, k: math.nan)
+    with pytest.raises(ConvergenceFailure, match="certificate unsound"):
+        certify_planar_bound(octahedron())
 
 
 def test_mobius_needs_a_subset():

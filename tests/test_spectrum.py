@@ -184,6 +184,20 @@ def test_vector_rayleigh_bound_requires_centered_input():
         vector_rayleigh_bound(g, v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rayleigh_bounds_refuse_non_finite_input(bad):
+    g = c4()
+    f = np.array([1.0, -1.0, 1.0, -1.0])
+    f[2] = bad
+    with pytest.raises(ValidationError, match="test function: row 2 is not finite"):
+        rayleigh_quotient(g, f)
+    v = np.stack([f, -f, f]).T
+    v[2] = 1.0
+    v[3, 1] = bad
+    with pytest.raises(ValidationError, match="test map: row 3 is not finite"):
+        vector_rayleigh_bound(g, v)
+
+
 def test_lambda_k_bounds_checked():
     g = p3()
     assert lambda_k(g, 1) == pytest.approx(0.0, abs=1e-12)
